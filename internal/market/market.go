@@ -84,6 +84,10 @@ type OfferingConfig struct {
 	Samples int
 	// Seed drives the error-transformation Monte Carlo.
 	Seed int64
+	// CurveCache, when non-nil, memoizes the Monte-Carlo estimates (see
+	// pricing.TransformConfig.Cache); the listed offering is bit-identical
+	// with or without it.
+	CurveCache *pricing.CurveCache
 	// Strategy optionally overrides how prices are set from the buyer
 	// points; nil means the revenue-maximizing DP. Baselines like opt.OptC
 	// plug in here (the experiments use this for live A/B comparisons).
@@ -198,6 +202,7 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 			Xs:        grid,
 			Samples:   samples,
 			Seed:      seed,
+			Cache:     cfg.CurveCache,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("market: error transformation for %s: %w", loss.Name(), err)

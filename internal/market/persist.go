@@ -13,9 +13,11 @@ import (
 // Persistence: the broker's financial state (the sale ledger) and the
 // audit-relevant shape of each offering can be saved and restored as JSON,
 // so a production broker survives restarts without losing its books. The
-// heavy, reproducible parts — datasets and trained models — are relisted
-// from source on startup (see cmd/nimbusd); only the ledger is
-// irreplaceable state.
+// reproducible parts are relisted from source on startup (see cmd/nimbusd
+// and internal/registry): datasets are regenerated or re-parsed and h* is
+// refit, while the Monte-Carlo error curves may come from a content-keyed
+// cache (OfferingConfig.CurveCache). Only the ledger is irreplaceable
+// state.
 
 // LedgerSnapshot is the serialized sale ledger.
 type LedgerSnapshot struct {

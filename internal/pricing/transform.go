@@ -143,6 +143,11 @@ type TransformConfig struct {
 	Samples int
 	// Seed drives the Monte-Carlo stream.
 	Seed int64
+	// Cache, when non-nil, memoizes the raw per-grid-point means under a
+	// digest of every field above: a hit skips the simulation, a miss runs
+	// it and stores the result. The isotonic projection runs either way,
+	// so a hit yields a bit-identical curve.
+	Cache *CurveCache
 }
 
 // DefaultGrid returns the paper's 1/NCP grid: n evenly spaced qualities
@@ -159,38 +164,61 @@ func DefaultGrid(n int) []float64 {
 }
 
 // MonteCarloTransform estimates the error curve empirically. It works for
-// any reporting loss, including the non-convex zero-one error.
+// any reporting loss, including the non-convex zero-one error. With a
+// Cache, a run whose inputs were estimated before reuses that estimate.
+func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Cache == nil {
+		return newErrorCurve(cfg.Loss.Name(), cfg.Xs, monteCarloMeans(cfg))
+	}
+	key := curveKey(cfg)
+	means, ok := cfg.Cache.lookup(key, cfg.Xs)
+	if !ok {
+		means = monteCarloMeans(cfg)
+		cfg.Cache.store(key, cfg.Xs, means)
+	}
+	return newErrorCurve(cfg.Loss.Name(), cfg.Xs, means)
+}
+
+// withDefaults validates cfg and fills the documented defaults.
+func (cfg TransformConfig) withDefaults() (TransformConfig, error) {
+	if cfg.Optimal == nil {
+		return cfg, errors.New("pricing: TransformConfig.Optimal is nil")
+	}
+	if cfg.Loss == nil {
+		return cfg, errors.New("pricing: TransformConfig.Loss is nil")
+	}
+	if cfg.Data == nil {
+		return cfg, errors.New("pricing: TransformConfig.Data is nil")
+	}
+	if cfg.Mechanism == nil {
+		cfg.Mechanism = noise.Gaussian{}
+	}
+	if len(cfg.Xs) == 0 {
+		cfg.Xs = DefaultGrid(100)
+	}
+	if cfg.Samples == 0 {
+		cfg.Samples = 2000
+	}
+	for _, x := range cfg.Xs {
+		if x <= 0 {
+			return cfg, fmt.Errorf("pricing: quality grid point %v must be positive", x)
+		}
+	}
+	return cfg, nil
+}
+
+// monteCarloMeans runs the simulation: for each grid point, the mean
+// reporting loss over cfg.Samples noisy instances, before any projection.
 //
 // Grid points are evaluated concurrently (this is the broker's listing
 // bottleneck); each point derives its own noise stream from the base seed,
 // so results are deterministic and independent of GOMAXPROCS.
-func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
-	if cfg.Optimal == nil {
-		return nil, errors.New("pricing: TransformConfig.Optimal is nil")
-	}
-	if cfg.Loss == nil {
-		return nil, errors.New("pricing: TransformConfig.Loss is nil")
-	}
-	if cfg.Data == nil {
-		return nil, errors.New("pricing: TransformConfig.Data is nil")
-	}
-	mech := cfg.Mechanism
-	if mech == nil {
-		mech = noise.Gaussian{}
-	}
+func monteCarloMeans(cfg TransformConfig) []float64 {
 	xs := cfg.Xs
-	if len(xs) == 0 {
-		xs = DefaultGrid(100)
-	}
-	samples := cfg.Samples
-	if samples == 0 {
-		samples = 2000
-	}
-	for _, x := range xs {
-		if x <= 0 {
-			return nil, fmt.Errorf("pricing: quality grid point %v must be positive", x)
-		}
-	}
 	errs := make([]float64, len(xs))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(xs) {
@@ -208,11 +236,11 @@ func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
 				src := rng.New(cfg.Seed + 1000003*int64(i))
 				delta := 1 / xs[i]
 				var sum float64
-				for s := 0; s < samples; s++ {
-					noisy := mech.Perturb(cfg.Optimal, delta, src)
+				for s := 0; s < cfg.Samples; s++ {
+					noisy := cfg.Mechanism.Perturb(cfg.Optimal, delta, src)
 					sum += cfg.Loss.Eval(noisy, cfg.Data)
 				}
-				errs[i] = sum / float64(samples)
+				errs[i] = sum / float64(cfg.Samples)
 			}
 		}()
 	}
@@ -221,7 +249,7 @@ func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
 	}
 	close(next)
 	wg.Wait()
-	return newErrorCurve(cfg.Loss.Name(), xs, errs)
+	return errs
 }
 
 // AnalyticSquaredTransform computes the error curve for the squared loss in

@@ -25,6 +25,9 @@ var (
 	// ErrTooManyMarkets enforces Config.MaxMarkets — the bound that keeps
 	// the per-market telemetry label cardinality finite.
 	ErrTooManyMarkets = errors.New("registry: market limit reached")
+	// ErrSpecLimit rejects a listing whose grid, sample count or row
+	// count exceeds MaxGrid, MaxSamples or MaxRows.
+	ErrSpecLimit = errors.New("registry: listing parameter above its cap")
 	// ErrBadOption rejects a purchase option outside the paper's three
 	// interaction modes.
 	ErrBadOption = errors.New("registry: unknown purchase option (want quality, error-budget or price-budget)")

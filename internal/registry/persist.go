@@ -10,14 +10,23 @@ import (
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/pricing"
 )
 
 // On-disk layout, one directory per tenant under Config.Root:
 //
 //	<root>/<id>/manifest.json  - the normalized Spec (rebuild recipe)
 //	<root>/<id>/dataset.csv    - raw upload, CSV-sourced tenants only
+//	<root>/<id>/curves.json    - Monte-Carlo curve cache (safe to delete)
 //	<root>/<id>/journal/       - the tenant's own write-ahead journal
 //	<root>/.delisted/<id>-<n>  - archived tenants (renamed, never deleted)
+//
+// curves.json memoizes the tenant's error-transformation estimates under
+// content keys (pricing.CurveCache), so recovery skips the Monte-Carlo
+// that dominates listing time. It is only ever a shortcut: a missing,
+// damaged or stale file costs one recompute and a rewrite, never a failed
+// Open or a different price. It lives outside journal/ so the journal
+// directory stays the ledger alone.
 //
 // Journals are isolated per tenant on purpose: one tenant's fsync cadence,
 // segment churn or corruption cannot stall or poison another's, Delist can
@@ -29,6 +38,7 @@ import (
 const (
 	manifestFile = "manifest.json"
 	datasetFile  = "dataset.csv"
+	curvesFile   = "curves.json"
 	journalDir   = "journal"
 	archiveRoot  = ".delisted"
 )
@@ -79,6 +89,26 @@ func persistTenant(root string, spec Spec, csvData []byte) error {
 		}
 	}
 	return writeManifest(dir, spec)
+}
+
+// readCurves loads a tenant's curve cache. A missing or undecodable file
+// yields an empty cache plus the reason, for the recovery log line; the
+// cache never fails recovery.
+func readCurves(dir string) (*pricing.CurveCache, error) {
+	data, err := os.ReadFile(filepath.Join(dir, curvesFile))
+	if err != nil {
+		return pricing.NewCurveCache(), err
+	}
+	c, err := pricing.DecodeCurveCache(data)
+	if err != nil {
+		return pricing.NewCurveCache(), err
+	}
+	return c, nil
+}
+
+// writeCurves persists a tenant's curve cache atomically.
+func writeCurves(dir string, c *pricing.CurveCache) error {
+	return journal.WriteFileAtomic(journal.OSFS{}, filepath.Join(dir, curvesFile), c.Encode)
 }
 
 // removeTenantDir erases a half-created tenant directory after a failed
@@ -169,46 +199,63 @@ func (r *Registry) recoverTenants() error {
 		if !e.IsDir() || !ValidID(e.Name()) {
 			continue
 		}
-		m, err := r.recoverTenant(e.Name())
+		m, curves, err := r.recoverTenant(e.Name())
 		if err != nil {
 			return fmt.Errorf("registry: recovering tenant %s: %w", e.Name(), err)
 		}
 		r.publish(m)
-		r.logf("registry: recovered market %s (%s): %d sales, revenue %.2f",
-			m.ID, m.Spec.Source(), m.Broker.SaleCount(), m.Broker.TotalRevenue())
+		r.logf("registry: recovered market %s (%s): %d sales, revenue %.2f, %s",
+			m.ID, m.Spec.Source(), m.Broker.SaleCount(), m.Broker.TotalRevenue(), curves)
 	}
 	return nil
 }
 
 // recoverTenant rebuilds one market from its directory: re-run the listing
-// pipeline from the manifest (datasets and curves are reproducible from
-// the spec), then recover the ledger from the tenant's journal.
-func (r *Registry) recoverTenant(id string) (*Market, error) {
+// pipeline from the manifest, serving the Monte-Carlo error curves from
+// curves.json where their inputs still match, then recover the ledger
+// from the tenant's journal. It also reports, for the log, where the
+// curves came from.
+func (r *Registry) recoverTenant(id string) (*Market, string, error) {
 	dir := tenantDir(r.cfg.Root, id)
 	spec, err := readManifest(dir)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if spec.ID != id {
-		return nil, fmt.Errorf("manifest id %q does not match directory %q", spec.ID, id)
+		return nil, "", fmt.Errorf("manifest id %q does not match directory %q", spec.ID, id)
 	}
 	var csvData []byte
 	if spec.CSV {
 		csvData, err = os.ReadFile(filepath.Join(dir, datasetFile))
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
-	b, err := buildBroker(spec, csvData, r.cfg.Commission)
+	cache, cacheErr := readCurves(dir)
+	b, err := buildBroker(spec, csvData, r.cfg.Commission, cache)
 	if err != nil {
-		return nil, err
+		return nil, "", err
+	}
+	r.countCurves(cache)
+	hits, misses := cache.Stats()
+	source := fmt.Sprintf("curves from cache (%d)", hits)
+	if misses > 0 {
+		source = fmt.Sprintf("curves recomputed (%d of %d)", misses, hits+misses)
+		if cacheErr != nil {
+			source += fmt.Sprintf(": %v", cacheErr)
+		}
+	}
+	if cache.Dirty() {
+		if err := writeCurves(dir, cache); err != nil {
+			r.logf("registry: market %s: rewriting %s: %v", id, curvesFile, err)
+		}
 	}
 	if r.cfg.Telemetry != nil {
 		b.SetTelemetry(r.cfg.Telemetry)
 	}
 	jnl, err := r.openTenantJournal(b, dir)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return newMarket(spec, b, jnl, r.cfg.Telemetry), nil
+	return newMarket(spec, b, jnl, r.cfg.Telemetry), source, nil
 }

@@ -18,6 +18,7 @@ import (
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/pricing"
 	"nimbus/internal/telemetry"
 )
 
@@ -62,8 +63,10 @@ type Registry struct {
 	pending   map[string]bool    // guarded by mu; IDs mid-List or mid-Delist
 	closed    bool               // guarded by mu
 
-	listed   *telemetry.Counter // nil without telemetry
-	delisted *telemetry.Counter
+	listed      *telemetry.Counter // nil without telemetry
+	delisted    *telemetry.Counter
+	curveHits   *telemetry.Counter
+	curveMisses *telemetry.Counter
 }
 
 // Open builds a registry and, when cfg.Root is set, recovers every live
@@ -89,6 +92,10 @@ func Open(cfg Config) (*Registry, error) {
 		reg.Help("nimbus_registry_listed_total", "Datasets listed since startup.")
 		r.delisted = reg.Counter("nimbus_registry_delisted_total")
 		reg.Help("nimbus_registry_delisted_total", "Datasets delisted since startup.")
+		r.curveHits = reg.Counter("nimbus_registry_curve_cache_hits_total")
+		reg.Help("nimbus_registry_curve_cache_hits_total", "Error curves served from a tenant's curves.json instead of the Monte-Carlo.")
+		r.curveMisses = reg.Counter("nimbus_registry_curve_cache_misses_total")
+		reg.Help("nimbus_registry_curve_cache_misses_total", "Error curves the Monte-Carlo estimated because curves.json held no matching entry.")
 	}
 	if cfg.Root != "" {
 		if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
@@ -181,9 +188,13 @@ func (r *Registry) unreserve(id string) {
 }
 
 // build runs the expensive part of List: train and price the offering,
-// persist the tenant directory, open its journal.
+// persist the tenant directory and its curve cache, open its journal.
 func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
-	b, err := buildBroker(spec, csvData, r.cfg.Commission)
+	var cache *pricing.CurveCache
+	if r.cfg.Root != "" {
+		cache = pricing.NewCurveCache()
+	}
+	b, err := buildBroker(spec, csvData, r.cfg.Commission, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +203,33 @@ func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
 	}
 	var jnl *journal.Journal
 	if r.cfg.Root != "" {
+		r.countCurves(cache)
 		if err := persistTenant(r.cfg.Root, spec, csvData); err != nil {
 			return nil, err
 		}
-		jnl, err = r.openTenantJournal(b, tenantDir(r.cfg.Root, spec.ID))
+		dir := tenantDir(r.cfg.Root, spec.ID)
+		if err := writeCurves(dir, cache); err != nil {
+			// Only a shortcut for the next restart, which recomputes
+			// (and rewrites) the curves without it.
+			r.logf("registry: market %s: writing %s: %v", spec.ID, curvesFile, err)
+		}
+		jnl, err = r.openTenantJournal(b, dir)
 		if err != nil {
 			return nil, err
 		}
 	}
 	return newMarket(spec, b, jnl, r.cfg.Telemetry), nil
+}
+
+// countCurves adds a tenant build's curve-cache lookups to the registry's
+// counters.
+func (r *Registry) countCurves(c *pricing.CurveCache) {
+	if r.curveHits == nil {
+		return
+	}
+	hits, misses := c.Stats()
+	r.curveHits.Add(uint64(hits))
+	r.curveMisses.Add(uint64(misses))
 }
 
 // publish makes a market purchasable: releases its reservation and indexes

@@ -15,8 +15,10 @@ import (
 // (a named generator or seller-uploaded CSV), which model is sold, and the
 // listing parameters of the Figure 2 pipeline. The spec is the tenant's
 // manifest — it is persisted verbatim in the tenant directory so a restart
-// can rebuild the market from source (datasets and trained models are
-// reproducible; only the sale ledger, which the journal carries, is not).
+// can rebuild the market from source: the dataset is regenerated or
+// re-parsed and h* refit, the Monte-Carlo error curves come from the
+// tenant's curves.json cache when its inputs still match, and the sale
+// ledger, the one irreplaceable part, comes from the journal.
 type Spec struct {
 	// Version guards the on-disk manifest format.
 	Version int `json:"version,omitempty"`
@@ -30,7 +32,7 @@ type Spec struct {
 	// or one of the UCI stand-ins (dataset.StandInNames). Mutually
 	// exclusive with CSV.
 	Generator string `json:"generator,omitempty"`
-	// Rows sizes a generated dataset (default 500).
+	// Rows sizes a generated dataset (default 500, at most MaxRows).
 	Rows int `json:"rows,omitempty"`
 
 	// CSV indicates the dataset was uploaded as CSV; the raw bytes live in
@@ -46,9 +48,10 @@ type Spec struct {
 	// "logistic-regression", "auto" (cross-validated selection), or empty
 	// for the task default.
 	Model string `json:"model,omitempty"`
-	// Grid is the offered quality-grid size (default 20).
+	// Grid is the offered quality-grid size (default 20, at most MaxGrid).
 	Grid int `json:"grid,omitempty"`
-	// Samples is the Monte-Carlo sample count per grid point (default 60).
+	// Samples is the Monte-Carlo sample count per grid point (default 60,
+	// at most MaxSamples).
 	Samples int `json:"samples,omitempty"`
 	// Seed drives the dataset generation, split, and curve estimation.
 	Seed int64 `json:"seed,omitempty"`
@@ -61,6 +64,16 @@ type Spec struct {
 
 // specVersion is the current manifest format.
 const specVersion = 1
+
+// Caps on the listing's cost multipliers. Listing time grows with
+// Grid × Samples × Rows, and a listing runs on request, so each factor is
+// bounded; the caps admit the paper's own settings (a 100-point grid,
+// 2000 models per NCP, datasets up to 10M rows).
+const (
+	MaxGrid    = 1000
+	MaxSamples = 10_000
+	MaxRows    = 10_000_000
+)
 
 // maxIDLen bounds tenant IDs; with Config.MaxMarkets it is what keeps the
 // telemetry `market` label finite and the tenant directory names sane.
@@ -116,6 +129,14 @@ func (s Spec) normalize() (Spec, error) {
 	case "", "auto", "linear-regression", "logistic-regression":
 	default:
 		return s, fmt.Errorf("registry: market %s: unknown model %q (want linear-regression, logistic-regression or auto)", s.ID, s.Model)
+	}
+	switch {
+	case s.Rows > MaxRows:
+		return s, fmt.Errorf("%w: market %s: rows %d (max %d)", ErrSpecLimit, s.ID, s.Rows, MaxRows)
+	case s.Grid > MaxGrid:
+		return s, fmt.Errorf("%w: market %s: grid %d (max %d)", ErrSpecLimit, s.ID, s.Grid, MaxGrid)
+	case s.Samples > MaxSamples:
+		return s, fmt.Errorf("%w: market %s: samples %d (max %d)", ErrSpecLimit, s.ID, s.Samples, MaxSamples)
 	}
 	if s.Rows <= 0 {
 		s.Rows = 500
@@ -183,8 +204,9 @@ func buildDataset(spec Spec, csvData []byte) (*dataset.Dataset, error) {
 // buildBroker runs the full listing pipeline for the spec on a fresh
 // sharded broker: generate/parse the dataset, split it, train, transform,
 // optimize prices, and list the offering. This is the slow part of List —
-// the registry runs it outside its lock.
-func buildBroker(spec Spec, csvData []byte, commission float64) (*market.Broker, error) {
+// the registry runs it outside its lock. curves, when non-nil, memoizes
+// the Monte-Carlo error transformation.
+func buildBroker(spec Spec, csvData []byte, commission float64, curves *pricing.CurveCache) (*market.Broker, error) {
 	d, err := buildDataset(spec, csvData)
 	if err != nil {
 		return nil, err
@@ -202,10 +224,11 @@ func buildBroker(spec Spec, csvData []byte, commission float64) (*market.Broker,
 		return nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	cfg := market.OfferingConfig{
-		Seller:  seller,
-		Grid:    pricing.DefaultGrid(spec.Grid),
-		Samples: spec.Samples,
-		Seed:    spec.Seed + 3,
+		Seller:     seller,
+		Grid:       pricing.DefaultGrid(spec.Grid),
+		Samples:    spec.Samples,
+		Seed:       spec.Seed + 3,
+		CurveCache: curves,
 	}
 	switch spec.Model {
 	case "auto":
@@ -255,4 +278,3 @@ func validOption(option string) bool {
 	}
 	return false
 }
-

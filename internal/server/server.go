@@ -231,12 +231,35 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CurveResponse{Offering: offering, Loss: loss, Points: c.Points()})
 }
 
+// Request body caps. A buy request is a few dozen bytes of JSON; a
+// listing carries an uploaded CSV inline. They are variables only so the
+// handler tests can exercise an overflow without a 32 MiB body.
+var (
+	maxBuyBody  int64 = 4 << 10
+	maxListBody int64 = 32 << 20
+)
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// rejecting unknown fields. On failure it answers 413 for an oversized
+// body and 400 otherwise, and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, code, fmt.Errorf("decoding %s request: %w", what, err))
+		return false
+	}
+	return true
+}
+
 func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request) {
 	var req BuyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding buy request: %w", err))
+	if !s.decodeBody(w, r, maxBuyBody, "buy", &req) {
 		return
 	}
 	p, err := s.doBuy(req.Offering, req.Loss, req.Option, req.Value)
