@@ -141,28 +141,9 @@ func openJournal(broker *market.Broker, cfg config, reg *telemetry.Registry, log
 		j.Close()
 		return nil, err
 	}
-	if snap, ok, err := j.Snapshot(); err != nil {
+	replayed, err := market.RecoverFromJournal(broker, j)
+	if err != nil {
 		return closeOnErr(err)
-	} else if ok {
-		err := broker.RestoreLedger(snap)
-		if cerr := snap.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return closeOnErr(fmt.Errorf("restoring journal snapshot: %w", err))
-		}
-	}
-	replayed := 0
-	if err := j.Replay(func(rec []byte) error {
-		p, err := market.UnmarshalSale(rec)
-		if err != nil {
-			return err
-		}
-		broker.ReplaySale(p)
-		replayed++
-		return nil
-	}); err != nil {
-		return closeOnErr(fmt.Errorf("replaying journal: %w", err))
 	}
 	logf("nimbusd: journal %s recovered: %d sales in ledger (%d replayed from tail), revenue %.2f",
 		cfg.journalDir, len(broker.Sales()), replayed, broker.TotalRevenue())

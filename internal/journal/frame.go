@@ -22,9 +22,10 @@ import (
 const (
 	frameHeaderSize = 8
 
-	// MaxRecordSize bounds a single record payload (64 MiB). The ledger's
-	// records are a few hundred bytes; the cap exists so a corrupted
-	// length field cannot make the scanner allocate gigabytes.
+	// MaxRecordSize bounds a single record payload (64 MiB). A sale
+	// record is about 8 bytes per model weight plus ~80 (153 B at d=9,
+	// 804 B at d=90); the cap exists so a corrupted length field cannot
+	// make the scanner allocate gigabytes.
 	MaxRecordSize = 64 << 20
 )
 

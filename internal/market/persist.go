@@ -2,11 +2,14 @@ package market
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
+	"nimbus/internal/journal"
 	"nimbus/internal/pricing"
 )
 
@@ -77,43 +80,243 @@ func (b *Broker) RestoreLedger(r io.Reader) error {
 	return nil
 }
 
-// saleRecord is the envelope for one journaled purchase. The version
-// field guards the record format the same way LedgerSnapshot.Version
-// guards the snapshot format.
-type saleRecord struct {
+// Sale records. Each journaled purchase is one record, and its first byte
+// names the format:
+//
+//	v2 (written): 0x02, then Offering and Loss as uvarint length + bytes,
+//	    then X, NCP, Price, BrokerFee, SellerProceeds, ExpectedError as
+//	    little-endian float64 bits, then a uvarint weight count and the
+//	    weights as little-endian float64 bits.
+//	v1 (read only): a JSON envelope {"v":1,"purchase":{...}}, which
+//	    always starts with '{'.
+//
+// Journals written before v2 still recover; nothing writes v1 any more.
+const (
+	saleRecordV2 = 0x02
+	saleRecordV1 = '{'
+)
+
+// saleRecordV1JSON is the v1 envelope. The version field guards the record
+// format the same way LedgerSnapshot.Version guards the snapshot format.
+type saleRecordV1JSON struct {
 	Version  int      `json:"v"`
 	Purchase Purchase `json:"purchase"`
 }
 
-// saleRecordVersion is the current journal record format.
-const saleRecordVersion = 1
+// saleFloatNames names a purchase's scalar fields, in v2 record order, for
+// error messages.
+var saleFloatNames = [6]string{"x", "ncp", "price", "broker_fee", "seller_proceeds", "expected_error"}
 
-// MarshalSale encodes one purchase as a journal record.
+// uvarintLen is the length of x's canonical uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// MarshalSale encodes one purchase as a v2 journal record. Like the JSON
+// encoder before it, it refuses non-finite floats: a sale whose books
+// cannot be stated must not be journaled.
 //
-//lint:allocok the encoded record is the function's product; json.Marshal boxes its argument by contract
+//lint:allocok one exact-size buffer per sale, the record itself; a refused sale also allocates its error
 func MarshalSale(p Purchase) ([]byte, error) {
-	rec, err := json.Marshal(saleRecord{Version: saleRecordVersion, Purchase: p})
-	if err != nil {
-		return nil, fmt.Errorf("market: encoding sale record: %w", err)
+	fs := [6]float64{p.X, p.NCP, p.Price, p.BrokerFee, p.SellerProceeds, p.ExpectedError}
+	n := 1 + uvarintLen(uint64(len(p.Offering))) + len(p.Offering) +
+		uvarintLen(uint64(len(p.Loss))) + len(p.Loss) +
+		8*len(fs) + uvarintLen(uint64(len(p.Weights))) + 8*len(p.Weights)
+	rec := make([]byte, 0, n)
+	rec = append(rec, saleRecordV2)
+	rec = binary.AppendUvarint(rec, uint64(len(p.Offering)))
+	rec = append(rec, p.Offering...)
+	rec = binary.AppendUvarint(rec, uint64(len(p.Loss)))
+	rec = append(rec, p.Loss...)
+	for i, f := range fs {
+		if !finite(f) {
+			return nil, fmt.Errorf("market: encoding sale record: non-finite %s %v", saleFloatNames[i], f)
+		}
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(f))
+	}
+	rec = binary.AppendUvarint(rec, uint64(len(p.Weights)))
+	for i, w := range p.Weights {
+		if !finite(w) {
+			return nil, fmt.Errorf("market: encoding sale record: non-finite weight %d: %v", i, w)
+		}
+		rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(w))
 	}
 	return rec, nil
 }
 
-// UnmarshalSale decodes a journal record produced by MarshalSale. It
-// refuses unknown format versions and unknown fields, mirroring
+// UnmarshalSale decodes a journal record produced by MarshalSale, or a v1
+// JSON record written by an earlier build. It refuses anything it does not
+// fully understand — unknown versions, unknown JSON fields, truncation,
+// trailing bytes, non-canonical lengths, non-finite values — mirroring
 // RestoreLedger: replaying a record we do not fully understand could
 // misstate the books.
 func UnmarshalSale(rec []byte) (Purchase, error) {
-	var sr saleRecord
+	if len(rec) == 0 {
+		return Purchase{}, errors.New("market: decoding sale record: empty record")
+	}
+	switch rec[0] {
+	case saleRecordV2:
+		return unmarshalSaleV2(rec[1:])
+	case saleRecordV1:
+		return unmarshalSaleV1(rec)
+	}
+	return Purchase{}, fmt.Errorf("market: decoding sale record: unknown format byte %#02x", rec[0])
+}
+
+// unmarshalSaleV2 decodes a v2 record body (the bytes after the format
+// byte).
+func unmarshalSaleV2(buf []byte) (Purchase, error) {
+	d := saleDecoder{buf: buf}
+	var p Purchase
+	p.Offering = d.string("offering length")
+	p.Loss = d.string("loss length")
+	var fs [6]float64
+	for i := range fs {
+		fs[i] = d.float(saleFloatNames[i])
+	}
+	p.X, p.NCP, p.Price, p.BrokerFee, p.SellerProceeds, p.ExpectedError = fs[0], fs[1], fs[2], fs[3], fs[4], fs[5]
+	if n := d.uvarint("weight count"); d.err == nil && n > 0 {
+		if n > uint64(len(d.buf))/8 {
+			d.fail("weight count %d overruns the record", n)
+		} else {
+			p.Weights = make([]float64, n)
+			for i := range p.Weights {
+				w := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[8*i:]))
+				if !finite(w) {
+					d.fail("non-finite weight %d: %v", i, w)
+					break
+				}
+				p.Weights[i] = w
+			}
+			d.buf = d.buf[8*n:]
+		}
+	}
+	if d.err == nil && len(d.buf) > 0 {
+		d.fail("%d trailing bytes", len(d.buf))
+	}
+	if d.err != nil {
+		return Purchase{}, d.err
+	}
+	return p, nil
+}
+
+// saleDecoder consumes a v2 record body front to back; the first failure
+// sticks and later reads return zero values.
+type saleDecoder struct {
+	buf []byte
+	err error
+}
+
+func (d *saleDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("market: decoding sale record: "+format, args...)
+	}
+}
+
+// uvarint reads one canonical uvarint. A non-minimal encoding is refused,
+// so every accepted record re-encodes to the same bytes.
+func (d *saleDecoder) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf)
+	switch {
+	case n == 0:
+		d.fail("truncated %s", what)
+		return 0
+	case n < 0 || n != uvarintLen(v):
+		d.fail("malformed %s", what)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// string reads a uvarint length, named what, and that many bytes.
+func (d *saleDecoder) string(what string) string {
+	n := d.uvarint(what)
+	if d.err != nil {
+		return ""
+	}
+	if n > uint64(len(d.buf)) {
+		d.fail("%s %d overruns the record", what, n)
+		return ""
+	}
+	s := string(d.buf[:n])
+	d.buf = d.buf[n:]
+	return s
+}
+
+// float reads one finite little-endian float64.
+func (d *saleDecoder) float(what string) float64 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.buf) < 8 {
+		d.fail("truncated %s", what)
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
+	if !finite(f) {
+		d.fail("non-finite %s %v", what, f)
+		return 0
+	}
+	d.buf = d.buf[8:]
+	return f
+}
+
+// unmarshalSaleV1 decodes a v1 JSON record with the strictness it always
+// had: unknown fields and versions are refused.
+func unmarshalSaleV1(rec []byte) (Purchase, error) {
+	var sr saleRecordV1JSON
 	dec := json.NewDecoder(bytes.NewReader(rec))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sr); err != nil {
 		return Purchase{}, fmt.Errorf("market: decoding sale record: %w", err)
 	}
-	if sr.Version != saleRecordVersion {
-		return Purchase{}, fmt.Errorf("market: sale record version %d, want %d", sr.Version, saleRecordVersion)
+	if sr.Version != 1 {
+		return Purchase{}, fmt.Errorf("market: sale record version %d, want 1", sr.Version)
 	}
 	return sr.Purchase, nil
+}
+
+// RecoverFromJournal rebuilds b's ledger from j: it restores the compacted
+// snapshot, if any, then replays every record in the tail, v1 or v2. It
+// returns how many records the tail replayed. Errors name the step that
+// failed and leave the prefix to the caller. The caller switches b onto j
+// (SetJournal) once it is done with recovery.
+func RecoverFromJournal(b *Broker, j *journal.Journal) (replayed int, err error) {
+	snap, ok, err := j.Snapshot()
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		err := b.RestoreLedger(snap)
+		if cerr := snap.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return 0, fmt.Errorf("restoring journal snapshot: %w", err)
+		}
+	}
+	if err := j.Replay(func(rec []byte) error {
+		p, err := UnmarshalSale(rec)
+		if err != nil {
+			return err
+		}
+		b.ReplaySale(p)
+		replayed++
+		return nil
+	}); err != nil {
+		return replayed, fmt.Errorf("replaying journal: %w", err)
+	}
+	return replayed, nil
 }
 
 // OfferingSnapshot is the audit view of one listing: everything a

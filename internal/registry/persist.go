@@ -142,10 +142,9 @@ func archiveTenant(root, id string) error {
 	}
 }
 
-// openTenantJournal opens (and recovers) one tenant's journal: restore the
-// compacted snapshot into the broker, replay the record tail, then switch
-// the broker's sale path onto the journal. Mirrors nimbusd's single-market
-// recovery, scoped to this tenant's directory.
+// openTenantJournal opens (and recovers) one tenant's journal: recover the
+// ledger with market.RecoverFromJournal, as nimbusd's single-market mode
+// does, then switch the broker's sale path onto the journal.
 func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Journal, error) {
 	j, err := journal.Open(filepath.Join(dir, journalDir), journal.Options{
 		SegmentBytes: r.cfg.SegmentBytes,
@@ -161,26 +160,8 @@ func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Jou
 		j.Close()
 		return nil, err
 	}
-	if snap, ok, err := j.Snapshot(); err != nil {
-		return closeOnErr(err)
-	} else if ok {
-		err := b.RestoreLedger(snap)
-		if cerr := snap.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return closeOnErr(fmt.Errorf("registry: restoring journal snapshot: %w", err))
-		}
-	}
-	if err := j.Replay(func(rec []byte) error {
-		p, err := market.UnmarshalSale(rec)
-		if err != nil {
-			return err
-		}
-		b.ReplaySale(p)
-		return nil
-	}); err != nil {
-		return closeOnErr(fmt.Errorf("registry: replaying journal: %w", err))
+	if _, err := market.RecoverFromJournal(b, j); err != nil {
+		return closeOnErr(fmt.Errorf("registry: %w", err))
 	}
 	b.SetJournal(j)
 	return j, nil
