@@ -1,133 +1,27 @@
 package main
 
 import (
+	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"nimbus/internal/journal"
 	"nimbus/internal/market"
 	"nimbus/internal/registry"
 )
 
-func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
-	var logs []string
-	broker, err := buildBroker(2e-4, 7, 30, 8, func(format string, args ...any) {
-		logs = append(logs, format)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	menu := broker.Menu()
-	if len(menu) != 6 {
-		t.Fatalf("menu %v", menu)
-	}
-	wantModels := map[string]string{
-		"Simulated1": "linear-regression",
-		"YearMSD":    "linear-regression",
-		"CASP":       "linear-regression",
-		"Simulated2": "logistic-regression",
-		"CovType":    "logistic-regression",
-		"SUSY":       "logistic-regression",
-	}
-	for _, name := range menu {
-		parts := strings.SplitN(name, "/", 2)
-		if wantModels[parts[0]] != parts[1] {
-			t.Fatalf("offering %s has unexpected model", name)
-		}
-		o, err := broker.Offering(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.VerifySLA(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if len(logs) == 0 {
-		t.Fatal("no progress logged")
-	}
-}
-
-func TestLedgerSaveRestoreViaFiles(t *testing.T) {
-	broker, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := broker.Menu()[0]
-	if _, err := broker.BuyAtQuality(name, offeringLoss(t, broker, name), 2); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ledger.json"
-	if err := saveLedger(broker, path); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restoreLedger(fresh, path); err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Sales()) != 1 {
-		t.Fatalf("restored %d sales", len(fresh.Sales()))
-	}
-	// Restoring a missing path is a silent first-run.
-	empty, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restoreLedger(empty, t.TempDir()+"/missing.json"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func offeringLoss(t *testing.T, broker *market.Broker, name string) string {
-	t.Helper()
-	o, err := broker.Offering(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o.LossNames()[0]
-}
-
-func TestRunRejectsLedgerPlusJournal(t *testing.T) {
-	err := run(config{ledger: "ledger.json", journalDir: "journal"})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("want mutual-exclusion error, got %v", err)
-	}
-}
-
-func TestRunRejectsDataDirPlusLegacyPersistence(t *testing.T) {
-	for _, cfg := range []config{
-		{dataDir: "data", journalDir: "journal"},
-		{dataDir: "data", ledger: "ledger.json"},
-	} {
-		err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Fatalf("config %+v: want mutual-exclusion error, got %v", cfg, err)
-		}
-	}
-}
-
-// TestSeedSuiteListsAndRecovers drives the registry-mode boot sequence:
-// an empty data directory is seeded with the six Table 3 datasets, and a
-// second boot recovers them from their manifests instead of re-seeding.
+// TestSeedSuiteListsAndRecovers drives the boot sequence: an empty data
+// directory is seeded with the six Table 3 datasets, each offering meets
+// its SLA, and a second boot recovers them from their manifests instead
+// of re-seeding.
 func TestSeedSuiteListsAndRecovers(t *testing.T) {
-	root := t.TempDir()
-	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4}
-	quiet := func(string, ...any) {}
-	open := func() *registry.Registry {
-		r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4, journalSync: "never", dataDir: t.TempDir()}
+	var logs []string
+	logf := func(format string, args ...any) { logs = append(logs, format) }
 
-	r := open()
-	if err := seedSuite(r, cfg, quiet); err != nil {
+	r, err := openRegistry(cfg, nil, logf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Count() != 6 || len(r.Menu()) != 6 {
@@ -146,101 +40,152 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 		if wantModels[parts[0]] != parts[1] {
 			t.Fatalf("offering %s has unexpected model", name)
 		}
+		o := offering(t, r, name)
+		if err := o.VerifySLA(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if len(logs) == 0 {
+		t.Fatal("no progress logged")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second boot: everything recovers, so runMulti would skip seeding.
-	r2 := open()
+	// Second boot: everything recovers, nothing is re-seeded.
+	logs = nil
+	r2, err := openRegistry(cfg, nil, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer r2.Close()
 	if r2.Count() != 6 {
 		t.Fatalf("recovered %d markets, want 6", r2.Count())
 	}
+	for _, line := range logs {
+		if strings.Contains(line, "seeding") {
+			t.Fatalf("second boot re-seeded: %q", line)
+		}
+	}
 }
 
 // TestJournalSurvivesRestarts drives the lifecycle nimbusd wires up:
-// sales are journaled, a graceful shutdown compacts them into a snapshot,
-// a crash (no compaction) leaves them in the record tail, and either way
-// the next startup recovers the full ledger.
+// sales are journaled per tenant, a graceful shutdown compacts them into
+// snapshots, a crash (registry abandoned, no Close) leaves them in the
+// record tail, and either way the next startup recovers the exact books.
 func TestJournalSurvivesRestarts(t *testing.T) {
-	dir := t.TempDir()
 	cfg := config{
-		journalDir:      dir,
-		journalSync:     "always",
-		journalSyncEvry: time.Millisecond,
+		scale: 1e-9, seed: 3, samples: 10, gridN: 4,
+		journalSync:     "group",
 		journalSegBytes: 1024,
+		dataDir:         t.TempDir(),
 	}
-	logf := func(string, ...any) {}
-	newBroker := func() *market.Broker {
-		broker, err := buildBroker(1e-9, 3, 10, 4, logf)
+	quiet := func(string, ...any) {}
+	boot := func() *registry.Registry {
+		r, err := openRegistry(cfg, nil, quiet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return broker
+		return r
 	}
-
-	// Generation 1: two sales, graceful shutdown (compacts).
-	b1 := newBroker()
-	j1, err := openJournal(b1, cfg, nil, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := b1.Menu()[0]
-	loss := offeringLoss(t, b1, name)
-	for i := 0; i < 2; i++ {
-		if _, err := b1.BuyAtQuality(name, loss, 2); err != nil {
-			t.Fatal(err)
+	// Sales land in two tenants, so recovery must be right per journal.
+	buy := func(r *registry.Registry, x float64) {
+		for _, name := range r.Menu()[:2] {
+			if _, err := r.Buy(name, offering(t, r, name).LossNames()[0], "quality", x); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := closeJournal(b1, j1, logf); err != nil {
+
+	// Generation 1: seed, two sales per tenant, graceful shutdown.
+	r1 := boot()
+	buy(r1, 2)
+	buy(r1, 4)
+	if err := r1.Close(); err != nil {
 		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(cfg.dataDir, "*", "journal", "snap-*.snap"))
+	if err != nil || len(snaps) != 6 {
+		t.Fatalf("graceful shutdown left %d snapshots (%v), want one per tenant", len(snaps), err)
 	}
 
-	// Generation 2: recovers from the snapshot, sells once more, then
-	// "crashes" — the journal is abandoned without compaction or flush
-	// beyond the per-append fsync.
-	b2 := newBroker()
-	j2, err := openJournal(b2, cfg, nil, logf)
-	if err != nil {
-		t.Fatal(err)
+	// Generation 2: recovers from the snapshots, sells once more per
+	// tenant, then "crashes": the registry is abandoned without Close, so
+	// the new sales live only in the fsynced record tail.
+	r2 := boot()
+	if got := r2.Stats().Sales; got != 4 {
+		t.Fatalf("generation 2 recovered %d sales, want 4", got)
 	}
-	if got := len(b2.Sales()); got != 2 {
-		t.Fatalf("generation 2 recovered %d sales, want 2", got)
-	}
-	if _, err := b2.BuyAtQuality(name, loss, 3); err != nil {
-		t.Fatal(err)
-	}
-	wantRevenue := b2.TotalRevenue()
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	buy(r2, 3)
+	wantStmt, wantSales := books(r2)
 
-	// Generation 3: snapshot (2 sales) + tail replay (1 sale).
-	b3 := newBroker()
-	j3, err := openJournal(b3, cfg, nil, logf)
-	if err != nil {
-		t.Fatal(err)
+	// Generation 3: snapshot plus tail replay.
+	r3 := boot()
+	defer r3.Close()
+	gotStmt, gotSales := books(r3)
+	if got := r3.Stats().Sales; got != 6 {
+		t.Fatalf("generation 3 recovered %d sales, want 6", got)
 	}
-	defer j3.Close()
-	if got := len(b3.Sales()); got != 3 {
-		t.Fatalf("generation 3 recovered %d sales, want 3", got)
+	if !reflect.DeepEqual(gotStmt, wantStmt) {
+		t.Fatalf("recovered statements %+v, want %+v", gotStmt, wantStmt)
 	}
-	if b3.TotalRevenue() != wantRevenue {
-		t.Fatalf("recovered revenue %v, want %v", b3.TotalRevenue(), wantRevenue)
+	if len(gotSales) != len(wantSales) {
+		t.Fatalf("recovered %d purchases, want %d", len(gotSales), len(wantSales))
 	}
-	if !reflect.DeepEqual(b3.Sales(), b2.Sales()) {
-		t.Fatal("recovered ledger differs from the pre-crash ledger")
+	for i := range wantSales {
+		if !samePurchase(gotSales[i], wantSales[i]) {
+			t.Fatalf("purchase %d: recovered %+v, want %+v", i, gotSales[i], wantSales[i])
+		}
 	}
 }
 
-func TestBuildBrokerPropagatesErrors(t *testing.T) {
-	// Scale so tiny that the floor of 64 rows still works — instead poison
-	// via a negative sample count? Samples fall back to default; the
-	// realistic failure is an invalid grid size producing a 2-point grid,
-	// which still works. Exercise the happy path with minimal settings to
-	// keep the error-path coverage in the market package where it lives.
-	if _, err := buildBroker(1e-9, 1, 10, 2, func(string, ...any) {}); err != nil {
-		t.Fatalf("minimal broker failed: %v", err)
+// offering resolves a global offering name through the registry.
+func offering(t *testing.T, r *registry.Registry, name string) *market.Offering {
+	t.Helper()
+	m, err := r.ResolveOffering(name)
+	if err != nil {
+		t.Fatal(err)
 	}
+	o, err := m.Broker.Offering(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// books lists every tenant's statement and concatenates their ledgers,
+// in market-ID order.
+func books(r *registry.Registry) ([]*market.Statement, []market.Purchase) {
+	var stmts []*market.Statement
+	var sales []market.Purchase
+	for _, id := range r.IDs() {
+		m, err := r.Get(id)
+		if err != nil {
+			continue
+		}
+		stmts = append(stmts, m.Statement())
+		sales = append(sales, m.Broker.Sales()...)
+	}
+	return stmts, sales
+}
+
+// samePurchase compares two purchases bit for bit, weights included.
+func samePurchase(a, b market.Purchase) bool {
+	if a.Offering != b.Offering || a.Loss != b.Loss || len(a.Weights) != len(b.Weights) {
+		return false
+	}
+	for _, pair := range [][2]float64{
+		{a.X, b.X}, {a.NCP, b.NCP}, {a.Price, b.Price}, {a.BrokerFee, b.BrokerFee},
+		{a.SellerProceeds, b.SellerProceeds}, {a.ExpectedError, b.ExpectedError},
+	} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			return false
+		}
+	}
+	for i := range a.Weights {
+		if math.Float64bits(a.Weights[i]) != math.Float64bits(b.Weights[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -93,14 +93,14 @@ func TestFailedWriteRollsBackAndJournalContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("first")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("first")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("second")); !errors.Is(err, errInjectedWrite) {
+	if err := j.AppendMany([][]byte{[]byte("second")}); !errors.Is(err, errInjectedWrite) {
 		t.Fatalf("injected failure not surfaced: %v", err)
 	}
 	// The failed frame was cut back off, so the journal keeps working.
-	if err := j.Append([]byte("third")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("third")}); err != nil {
 		t.Fatalf("journal unusable after rolled-back failure: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -128,13 +128,13 @@ func TestTornWritePoisonsUntilReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("durable")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("durable")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("torn-away")); !errors.Is(err, errInjectedWrite) {
+	if err := j.AppendMany([][]byte{[]byte("torn-away")}); !errors.Is(err, errInjectedWrite) {
 		t.Fatalf("injected failure not surfaced: %v", err)
 	}
-	if err := j.Append([]byte("after")); err == nil {
+	if err := j.AppendMany([][]byte{[]byte("after")}); err == nil {
 		t.Fatal("append accepted on a poisoned journal")
 	}
 	//lint:ignore no-dropped-error the poisoned journal's close error is part of the simulated crash
@@ -152,16 +152,16 @@ func TestTornWritePoisonsUntilReopen(t *testing.T) {
 	}
 }
 
-func TestSyncFailurePoisonsUnderAlways(t *testing.T) {
+func TestSyncFailurePoisonsUnderGroup(t *testing.T) {
 	fs := &faultFS{writesUntilFail: -1, failSync: true}
-	j, err := Open(t.TempDir(), Options{Sync: SyncAlways, FS: fs})
+	j, err := Open(t.TempDir(), Options{Sync: SyncGroup, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("x")); !errors.Is(err, errInjectedSync) {
+	if err := j.AppendMany([][]byte{[]byte("x")}); !errors.Is(err, errInjectedSync) {
 		t.Fatalf("sync failure not surfaced: %v", err)
 	}
-	if err := j.Append([]byte("y")); err == nil {
+	if err := j.AppendMany([][]byte{[]byte("y")}); err == nil {
 		t.Fatal("append accepted after a failed fsync")
 	}
 	//lint:ignore no-dropped-error the poisoned journal's close error is the expected outcome here
@@ -183,7 +183,7 @@ func TestCompactionSnapshotFailureKeepsJournalUsable(t *testing.T) {
 	if _, ok, _ := j.Snapshot(); ok {
 		t.Fatal("failed compaction published a snapshot")
 	}
-	if err := j.Append([]byte("alive")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("alive")}); err != nil {
 		t.Fatalf("journal unusable after failed compaction: %v", err)
 	}
 	if err := j.Close(); err != nil {

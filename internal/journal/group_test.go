@@ -66,7 +66,7 @@ func TestIntervalFlushesIdleTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("idle-tail")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("idle-tail")}); err != nil {
 		t.Fatal(err)
 	}
 	// No further journal activity: only the timer can flush the record.
@@ -102,15 +102,16 @@ func TestIntervalFlushesIdleTail(t *testing.T) {
 func TestGroupCommitSingleAppend(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	j, err := Open(dir, Options{Sync: SyncGroup, Telemetry: reg})
+	// The zero Options: group commit is the default policy.
+	j, err := Open(dir, Options{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("solo")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("solo")}); err != nil {
 		t.Fatal(err)
 	}
 	// An uncontended append is a batch of one: one group commit, one fsync,
-	// acknowledged only after the fsync — SyncAlways semantics.
+	// acknowledged only after the fsync.
 	if got := reg.Counter("nimbus_journal_group_commits_total").Value(); got != 1 {
 		t.Fatalf("group commits %d, want 1", got)
 	}
@@ -144,7 +145,7 @@ func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < appends; i++ {
-				if err := j.Append([]byte(fmt.Sprintf("w%d-r%d", w, i))); err != nil {
+				if err := j.AppendMany([][]byte{[]byte(fmt.Sprintf("w%d-r%d", w, i))}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -199,14 +200,14 @@ func TestAppendManyFailureRollsBackWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("before")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("before")}); err != nil {
 		t.Fatal(err)
 	}
 	batch := [][]byte{[]byte("batch-a"), []byte("batch-b"), []byte("batch-c")}
 	if err := j.AppendMany(batch); !errors.Is(err, errInjectedWrite) {
 		t.Fatalf("injected failure not surfaced: %v", err)
 	}
-	if err := j.Append([]byte("after")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("after")}); err != nil {
 		t.Fatalf("journal unusable after rolled-back batch: %v", err)
 	}
 	if err := j.Close(); err != nil {

@@ -21,11 +21,11 @@
 // valid data after it — damage to records that were once durable — makes
 // recovery refuse rather than silently drop sales (ErrCorrupt).
 //
-// Durability is configurable per deployment via SyncPolicy: fsync every
-// append (no completed sale is ever lost), group commit (the same
-// guarantee, with concurrent appenders sharing one frame write and one
-// fsync), fsync on an interval (bounded loss window, near-zero fsync
-// amplification), or leave flushing to the OS (benchmarks).
+// Durability is configurable per deployment via SyncPolicy: group commit
+// (the default: no acknowledged append is ever lost, and concurrent
+// appenders share one frame write and one fsync), fsync on an interval
+// (bounded loss window, near-zero fsync amplification), or leave flushing
+// to the OS (benchmarks).
 package journal
 
 import (
@@ -43,10 +43,14 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: a sale acknowledged to the
-	// buyer is on stable storage before the response leaves the broker.
-	// Costs one disk flush per sale.
-	SyncAlways SyncPolicy = iota
+	// SyncGroup is group commit, and the zero value: every append is
+	// acknowledged only after an fsync covering its record returns — a
+	// sale acknowledged to the buyer is on stable storage before the
+	// response leaves the broker — but concurrent appenders batch into a
+	// single frame-buffer write and a single fsync, so the flush rate is
+	// one per batch, not one per record. An uncontended append is a batch
+	// of one: one write, one fsync.
+	SyncGroup SyncPolicy = iota
 	// SyncInterval marks appends dirty and fsyncs at most once per
 	// Options.SyncEvery (plus at rotation, compaction and Close). A crash
 	// loses at most the final window of sales; the disk sees a bounded
@@ -56,38 +60,27 @@ const (
 	// process dying is survivable, not the machine; meant for benchmarks
 	// and tests.
 	SyncNever
-	// SyncGroup is group commit: every append is acknowledged only after
-	// an fsync covering its record returns — SyncAlways durability — but
-	// concurrent appenders batch into a single frame-buffer write and a
-	// single fsync, so the flush rate is one per batch, not one per
-	// record. An uncontended append degrades to exactly the SyncAlways
-	// path (a batch of one).
-	SyncGroup
 )
 
 // ParseSyncPolicy maps the CLI spellings onto a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "always":
-		return SyncAlways, nil
+	case "group":
+		return SyncGroup, nil
 	case "interval":
 		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
-	case "group":
-		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("journal: unknown sync policy %q (want always, group, interval or never)", s)
+	return 0, fmt.Errorf("journal: unknown sync policy %q (want group, interval or never; group fsyncs every acknowledged append)", s)
 }
 
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncGroup:
 		return "group"
+	case SyncInterval:
+		return "interval"
 	default:
 		return "never"
 	}
@@ -100,7 +93,7 @@ const (
 )
 
 // Options configures a journal. The zero value is usable: OS filesystem,
-// 4 MiB segments, fsync on every append.
+// 4 MiB segments, group commit (every append fsynced before it returns).
 type Options struct {
 	// SegmentBytes is the rotation threshold: a segment that reaches this
 	// many bytes is sealed and a fresh one started.
@@ -126,7 +119,7 @@ var ErrClosed = errors.New("journal: closed")
 var ErrCorrupt = errors.New("journal: corrupt")
 
 // Journal is an open write-ahead journal. It is safe for concurrent use;
-// appends are serialized, so record order on disk is the order Append
+// appends are serialized, so record order on disk is the order AppendMany
 // calls returned.
 type Journal struct {
 	dir  string
@@ -191,7 +184,7 @@ type journalTelemetry struct {
 }
 
 func (j *Journal) initTelemetry(reg *telemetry.Registry) {
-	reg.Help("nimbus_journal_append_seconds", "Latency of one journal append, including fsync under the always policy.")
+	reg.Help("nimbus_journal_append_seconds", "Latency of one journal append, including fsync under the group policy.")
 	reg.Help("nimbus_journal_appends_total", "Records appended to the journal.")
 	reg.Help("nimbus_journal_append_bytes_total", "Payload bytes appended to the journal.")
 	reg.Help("nimbus_journal_fsyncs_total", "fsync calls issued by the journal.")
@@ -222,7 +215,7 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 // after it, truncates a torn final write, and opens the last segment for
 // appending. Damage that cannot be attributed to a torn tail returns
 // ErrCorrupt. After Open, read the recovered state via Snapshot and
-// Replay, then Append away.
+// Replay, then AppendMany away.
 //
 //lint:owns the journal holds an open segment file (and under SyncInterval a flusher goroutine); the caller must Close it on every path
 func Open(dir string, opts Options) (*Journal, error) {
@@ -289,34 +282,6 @@ func checkRecord(rec []byte) error {
 	return nil
 }
 
-// Append writes one record, making it durable according to the sync
-// policy, and returns once the record is on the tail segment. Appends are
-// atomic with respect to recovery: a crash mid-append loses at most this
-// record, never an earlier one.
-//
-//lint:hotpath write-ahead step of every durable sale
-func (j *Journal) Append(rec []byte) error {
-	if err := checkRecord(rec); err != nil {
-		return err
-	}
-	start := time.Now()
-	var err error
-	if j.opts.Sync == SyncGroup {
-		//lint:allocok one-element view; groupCommit copies the element out, so escape analysis keeps it on this stack
-		err = j.groupCommit([][]byte{rec})
-	} else {
-		j.mu.Lock()
-		//lint:allocok one-element view; writeLocked only ranges over it, so escape analysis keeps it on this stack
-		err = j.writeLocked([][]byte{rec}, j.opts.Sync == SyncAlways)
-		j.mu.Unlock()
-	}
-	if err != nil {
-		return err
-	}
-	j.tel.appendLatency.Observe(time.Since(start).Seconds())
-	return nil
-}
-
 // AppendMany writes a run of records as one frame-buffer write, making
 // them durable according to the sync policy before returning. The batch
 // is atomic against failure: if the write cannot complete, the tail is
@@ -325,7 +290,7 @@ func (j *Journal) Append(rec []byte) error {
 // batch). Under SyncGroup the whole run joins the in-flight batch as a
 // unit, preserving its internal order.
 //
-//lint:hotpath batched write-ahead step of the group-commit path
+//lint:hotpath write-ahead step of every durable sale
 func (j *Journal) AppendMany(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -341,7 +306,7 @@ func (j *Journal) AppendMany(recs [][]byte) error {
 		err = j.groupCommit(recs)
 	} else {
 		j.mu.Lock()
-		err = j.writeLocked(recs, j.opts.Sync == SyncAlways)
+		err = j.writeLocked(recs, false)
 		j.mu.Unlock()
 	}
 	if err != nil {
@@ -436,7 +401,7 @@ type groupBatch struct {
 
 // groupCommit appends recs to the forming batch and returns once a
 // flush covering them has completed — the caller's records are on stable
-// storage when this returns nil, exactly the SyncAlways guarantee.
+// storage when this returns nil.
 func (j *Journal) groupCommit(recs [][]byte) error {
 	g := &j.group
 	g.mu.Lock()
@@ -589,7 +554,7 @@ func (j *Journal) syncLoop() {
 			j.armed = false
 			if !j.closed {
 				// syncLocked records a failure in j.failed, which the
-				// next Append reports; the loop itself has no caller to
+				// next AppendMany reports; the loop itself has no caller to
 				// tell.
 				if err := j.syncLocked(); err != nil {
 					j.mu.Unlock()

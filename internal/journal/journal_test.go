@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 func appendAll(t *testing.T, j *Journal, recs [][]byte) {
 	t.Helper()
 	for _, r := range recs {
-		if err := j.Append(r); err != nil {
+		if err := j.AppendMany([][]byte{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +74,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]byte("late")); !errors.Is(err, ErrClosed) {
+	if err := j.AppendMany([][]byte{[]byte("late")}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v", err)
 	}
 
@@ -93,7 +94,7 @@ func TestAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Append(nil); err == nil {
+	if err := j.AppendMany([][]byte{nil}); err == nil {
 		t.Fatal("empty record accepted")
 	}
 }
@@ -130,7 +131,7 @@ func TestReopenContinuesAppending(t *testing.T) {
 	dir := t.TempDir()
 	recs := records(6)
 	for i := 0; i < len(recs); i += 2 {
-		j, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: 96})
+		j, err := Open(dir, Options{Sync: SyncGroup, SegmentBytes: 96})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestRepeatedCompaction(t *testing.T) {
 }
 
 func TestSyncPolicyParsing(t *testing.T) {
-	for _, s := range []string{"always", "group", "interval", "never"} {
+	for _, s := range []string{"group", "interval", "never"} {
 		p, err := ParseSyncPolicy(s)
 		if err != nil {
 			t.Fatal(err)
@@ -253,6 +254,11 @@ func TestSyncPolicyParsing(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bogus policy accepted")
+	}
+	// "always" is not a policy: group already fsyncs every acknowledged
+	// append, so the error points there.
+	if _, err := ParseSyncPolicy("always"); err == nil || !strings.Contains(err.Error(), "group") {
+		t.Fatalf(`ParseSyncPolicy("always") = %v, want an error naming group`, err)
 	}
 }
 
@@ -265,7 +271,7 @@ func TestIntervalSyncFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Append([]byte("flush me")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("flush me")}); err != nil {
 		t.Fatal(err)
 	}
 	fsyncs := reg.Counter("nimbus_journal_fsyncs_total")
@@ -282,7 +288,7 @@ func TestTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	dir := t.TempDir()
 	recs := records(8)
-	j, err := Open(dir, Options{Sync: SyncAlways, SegmentBytes: 64, Telemetry: reg})
+	j, err := Open(dir, Options{Sync: SyncGroup, SegmentBytes: 64, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +300,7 @@ func TestTelemetryCounters(t *testing.T) {
 		t.Fatalf("appends_total %d", got)
 	}
 	if reg.Counter("nimbus_journal_fsyncs_total").Value() == 0 {
-		t.Fatal("no fsyncs counted under SyncAlways")
+		t.Fatal("no fsyncs counted under SyncGroup")
 	}
 	if reg.Counter("nimbus_journal_rotations_total").Value() == 0 {
 		t.Fatal("no rotations counted")

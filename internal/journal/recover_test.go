@@ -61,7 +61,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 		t.Fatalf("torn tail not truncated: %d bytes", repaired.Size())
 	}
 	// And appends resume cleanly at the boundary.
-	if err := j.Append([]byte("resumed")); err != nil {
+	if err := j.AppendMany([][]byte{[]byte("resumed")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -74,10 +74,11 @@ func TestRunMultiMarket(t *testing.T) {
 	if spread != 90 {
 		t.Fatalf("by_market sums to %d: %v", spread, rep.ByMarket)
 	}
-	// The per-market telemetry agrees with the generator's own tally.
+	// The per-offering telemetry agrees with the generator's own tally:
+	// each tenant lists exactly one offering, "<id>/<model>".
 	snap := reg.Snapshot()
 	for _, id := range ids {
-		if got := snap.CounterValue("nimbus_market_purchases_total", "market", id); int(got) != rep.ByMarket[id] {
+		if got := snap.CounterValue("nimbus_purchases_total", "offering", id+"/linear-regression"); int(got) != rep.ByMarket[id] {
 			t.Fatalf("market %s: telemetry %v, report %d", id, got, rep.ByMarket[id])
 		}
 	}

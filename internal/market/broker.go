@@ -98,22 +98,10 @@ type offeringBooks struct {
 type commitBatch struct {
 	recs  [][]byte
 	sales []Purchase
-	// err is the whole-batch verdict (batch journals are all-or-nothing);
-	// errs holds per-record verdicts from the per-record fallback path.
+	// err is the whole-batch verdict: the journal takes a batch
+	// all-or-nothing.
 	err  error
-	errs []error
 	done bool
-}
-
-// result returns the verdict for the record enqueued at idx.
-func (bt *commitBatch) result(idx int) error {
-	if bt.err != nil {
-		return bt.err
-	}
-	if bt.errs != nil {
-		return bt.errs[idx]
-	}
-	return nil
 }
 
 // menuSnapshot is the immutable browse-path state. A published snapshot
@@ -133,19 +121,10 @@ type menuSnapshot struct {
 }
 
 // SaleJournal is the broker's durability hook: an append-only log that
-// must acknowledge each encoded Purchase before the sale becomes visible
-// in the ledger. internal/journal's *Journal satisfies it directly.
+// must make a run of encoded Purchases durable, all or nothing, before
+// the sales become visible in the ledger. The shard commit queue hands it
+// one batch per flush. internal/journal's *Journal satisfies it directly.
 type SaleJournal interface {
-	Append(rec []byte) error
-}
-
-// BatchJournal is the optional batching extension of SaleJournal: a
-// journal that can make a run of records durable in one call (one frame
-// write, one fsync under the always/group policies). internal/journal's
-// *Journal satisfies it. The shard commit queue uses it to flush a whole
-// batch at once; a plain SaleJournal falls back to per-record appends.
-type BatchJournal interface {
-	SaleJournal
 	AppendMany(recs [][]byte) error
 }
 
@@ -500,7 +479,6 @@ func (sh *shard) commit(j SaleJournal, rec []byte, p Purchase) error {
 		sh.jbatch = &commitBatch{}
 	}
 	bt := sh.jbatch
-	idx := len(bt.recs)
 	//lint:allocok batch slices grow toward the flush window's size; the doubling amortizes across the batch
 	bt.recs = append(bt.recs, rec)
 	//lint:allocok same amortized growth as recs above
@@ -509,9 +487,9 @@ func (sh *shard) commit(j SaleJournal, rec []byte, p Purchase) error {
 		sh.jcond.Wait()
 	}
 	if bt.done {
-		// Another caller led our batch while we waited; its verdict on our
-		// record is ours.
-		err := bt.result(idx)
+		// Another caller led our batch while we waited; its verdict is
+		// ours.
+		err := bt.err
 		sh.jmu.Unlock()
 		return err
 	}
@@ -527,36 +505,17 @@ func (sh *shard) commit(j SaleJournal, rec []byte, p Purchase) error {
 	sh.jleading = false
 	sh.jcond.Broadcast()
 	sh.jmu.Unlock()
-	return bt.result(idx)
+	return bt.err
 }
 
-// flush makes one batch durable and, on success, visible. A BatchJournal
-// takes the whole batch in one call with all-or-nothing semantics; the
-// per-record fallback gives each record its own verdict, and the records
-// the journal accepted still enter the ledger in journal order.
+// flush makes one batch durable and, on success, visible: one journal
+// call for the whole batch, then one ledger splice in journal order.
 func (sh *shard) flush(j SaleJournal, bt *commitBatch) {
-	if bj, ok := j.(BatchJournal); ok {
-		if err := bj.AppendMany(bt.recs); err != nil {
-			bt.err = err
-			return
-		}
-		sh.recordBatch(bt.sales)
+	if err := j.AppendMany(bt.recs); err != nil {
+		bt.err = err
 		return
 	}
-	//lint:allocok per-record fallback only: one verdict slot per batched sale
-	bt.errs = make([]error, len(bt.recs))
-	accepted := bt.sales[:0:0]
-	for i, rec := range bt.recs {
-		if err := j.Append(rec); err != nil {
-			bt.errs[i] = err
-			continue
-		}
-		//lint:allocok per-record fallback only; grows to at most the batch size
-		accepted = append(accepted, bt.sales[i])
-	}
-	if len(accepted) > 0 {
-		sh.recordBatch(accepted)
-	}
+	sh.recordBatch(bt.sales)
 }
 
 // record appends one purchase to the shard ledger and aggregates.

@@ -268,13 +268,15 @@ type recordingJournal struct {
 	fail error
 }
 
-func (r *recordingJournal) Append(rec []byte) error {
+func (r *recordingJournal) AppendMany(recs [][]byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail != nil {
 		return r.fail
 	}
-	r.recs = append(r.recs, append([]byte(nil), rec...))
+	for _, rec := range recs {
+		r.recs = append(r.recs, append([]byte(nil), rec...))
+	}
 	return nil
 }
 
@@ -491,7 +493,7 @@ func TestMixedFormatJournalRecovery(t *testing.T) {
 	}
 	v1 := readV1Fixture(t)
 	for _, rec := range v1 {
-		if err := j.Append(rec); err != nil {
+		if err := j.AppendMany([][]byte{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -75,7 +75,9 @@ type LoadResult struct {
 	Offerings      int     `json:"offerings,omitempty"`
 	JournalSync    string  `json:"journal_sync,omitempty"`
 	// Markets records how many tenant markets the traffic was spread
-	// across (0 or absent = the legacy single-market routes).
+	// across through the tenant routes (0 or absent = the legacy
+	// cross-tenant routes, which standalone nimbus-load runs and older
+	// trajectory points use).
 	Markets        int     `json:"markets,omitempty"`
 	Requests       int     `json:"requests"`
 	Errors         int     `json:"errors"`

@@ -68,8 +68,7 @@ type Market struct {
 	inflight int         // guarded by mu; purchases between acquire and release
 	state    marketState // guarded by mu
 
-	sales   *telemetry.Counter      // per-market purchase count; nil without telemetry
-	revenue *telemetry.FloatCounter // per-market gross revenue
+	revenue *telemetry.FloatCounter // per-market gross revenue; nil without telemetry
 }
 
 // newMarket wires the lifecycle plumbing around a freshly built broker.
@@ -83,10 +82,7 @@ func newMarket(spec Spec, b *market.Broker, jnl *journal.Journal, reg *telemetry
 		// live set is capped at Config.MaxMarkets, so the series set is
 		// bounded by listings, not by request traffic.
 		//lint:ignore telemetry-label-literal market IDs pass ValidID and the live set is capped at Config.MaxMarkets, so label cardinality is bounded by listings, not requests
-		m.sales = reg.Counter("nimbus_market_purchases_total", "market", spec.ID)
-		//lint:ignore telemetry-label-literal market IDs pass ValidID and the live set is capped at Config.MaxMarkets, so label cardinality is bounded by listings, not requests
 		m.revenue = reg.FloatCounter("nimbus_market_revenue_total", "market", spec.ID)
-		reg.Help("nimbus_market_purchases_total", "Completed purchases per tenant market.")
 		reg.Help("nimbus_market_revenue_total", "Gross sale revenue per tenant market.")
 	}
 	return m
@@ -162,8 +158,7 @@ func (m *Market) Buy(offering, loss, option string, value float64) (*market.Purc
 	if err != nil {
 		return nil, err
 	}
-	if m.sales != nil {
-		m.sales.Inc()
+	if m.revenue != nil {
 		m.revenue.Add(p.Price)
 	}
 	return p, nil

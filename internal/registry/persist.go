@@ -143,8 +143,8 @@ func archiveTenant(root, id string) error {
 }
 
 // openTenantJournal opens (and recovers) one tenant's journal: recover the
-// ledger with market.RecoverFromJournal, as nimbusd's single-market mode
-// does, then switch the broker's sale path onto the journal.
+// ledger with market.RecoverFromJournal, then switch the broker's sale
+// path onto the journal.
 func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Journal, error) {
 	j, err := journal.Open(filepath.Join(dir, journalDir), journal.Options{
 		SegmentBytes: r.cfg.SegmentBytes,

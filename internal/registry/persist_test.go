@@ -52,7 +52,7 @@ func TestReopenV1OnlyTenantJournal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(rec); err != nil {
+		if err := j.AppendMany([][]byte{rec}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,12 +36,12 @@ type Config struct {
 	MaxMarkets int
 	// Sync, SyncEvery and SegmentBytes configure each tenant's journal;
 	// zero values take the journal package defaults (Sync's zero value is
-	// SyncAlways).
+	// SyncGroup: every sale is fsynced before it is acknowledged).
 	Sync         journal.SyncPolicy
 	SyncEvery    time.Duration
 	SegmentBytes int64
 	// Telemetry, when non-nil, receives registry gauges plus per-market
-	// purchase and revenue series.
+	// revenue series.
 	Telemetry *telemetry.Registry
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)

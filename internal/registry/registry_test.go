@@ -160,7 +160,7 @@ func TestListValidation(t *testing.T) {
 
 func TestCSVMarketAndRecovery(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{Root: root, Commission: 0.2, Sync: journal.SyncAlways, Logf: t.Logf}
+	cfg := Config{Root: root, Commission: 0.2, Sync: journal.SyncGroup, Logf: t.Logf}
 	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -363,13 +363,13 @@ func close9(a, b float64) bool {
 }
 
 // TestTwoTenantTornTailRecovery kills the daemon mid-commit, figuratively:
-// two tenants take sales under SyncAlways, the registry is abandoned
+// two tenants take sales under SyncGroup, the registry is abandoned
 // without Close (no compaction), and each tenant's newest journal segment
 // gets garbage appended — a torn tail. A fresh Open must truncate each
 // tenant's tail independently and recover both ledgers exactly.
 func TestTwoTenantTornTailRecovery(t *testing.T) {
 	root := t.TempDir()
-	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncGroup, Logf: t.Logf}
 	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

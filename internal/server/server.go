@@ -1,6 +1,8 @@
-// Package server exposes a Nimbus broker over HTTP — the interactive
-// marketplace surface of the SIGMOD demo. Buyers browse the menu, fetch
-// price–error curves and purchase noisy model instances as JSON.
+// Package server exposes a Nimbus marketplace — a registry of per-dataset
+// broker markets — over HTTP: the interactive surface of the SIGMOD demo.
+// Buyers browse the menu, fetch price–error curves and purchase noisy
+// model instances as JSON. The tenant-scoped /api/v1/datasets routes are
+// listed in tenants.go; the routes below span every tenant.
 //
 //	GET  /healthz                         liveness probe
 //	GET  /metrics                         Prometheus text-format telemetry
@@ -30,16 +32,15 @@ import (
 	"nimbus/internal/telemetry"
 )
 
-// Server is an http.Handler serving a broker — either one market (New) or
-// a whole multi-tenant registry of them (NewMulti). The single-market API
-// works identically in both modes; multi mode adds the tenant-scoped
-// /api/v1/datasets surface and treats the legacy routes as the union
-// across tenants (offering names embed the dataset ID, so they stay
-// globally unique).
+// Server is an http.Handler serving a multi-tenant registry of markets.
+// The /api/v1/datasets surface lists, delists, browses and buys inside
+// one tenant; the legacy single-market routes (/api/v1/menu, /curve,
+// /buy, ...) serve the union across tenants (offering names embed the
+// dataset ID, so they stay globally unique). A single market is a
+// registry of one.
 type Server struct {
-	broker   *market.Broker     // single-market mode; nil under NewMulti
-	registry *registry.Registry // multi-tenant mode; nil under New
-	tenantRL *RateLimiter       // per-tenant purchase budget; nil unless WithTenantRate
+	registry *registry.Registry
+	tenantRL *RateLimiter // per-tenant purchase budget; nil unless WithTenantRate
 	mux      *http.ServeMux
 	logf     func(format string, args ...any)
 	reg      *telemetry.Registry
@@ -61,31 +62,19 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) { s.reg = reg }
 }
 
-// New wraps a single broker in an HTTP API.
-func New(b *market.Broker, opts ...Option) *Server {
-	s := &Server{broker: b, mux: http.NewServeMux(), logf: log.Printf}
-	for _, o := range opts {
-		o(s)
-	}
-	s.registerCommon()
-	return s
-}
-
-// NewMulti serves a multi-tenant registry: the single-market API becomes
-// the cross-tenant union, and the /api/v1/datasets routes add listing,
-// delisting and tenant-scoped browsing and buying.
+// NewMulti serves a registry: the dataset lifecycle routes plus the
+// single-market API as the cross-tenant union.
 func NewMulti(r *registry.Registry, opts ...Option) *Server {
 	s := &Server{registry: r, mux: http.NewServeMux(), logf: log.Printf}
 	for _, o := range opts {
 		o(s)
 	}
-	s.registerCommon()
-	s.registerTenantRoutes()
+	s.registerRoutes()
 	return s
 }
 
-// registerCommon mounts the mode-independent API surface.
-func (s *Server) registerCommon() {
+// registerRoutes mounts the whole API surface.
+func (s *Server) registerRoutes() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsProm)
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetricsJSON)
@@ -95,46 +84,25 @@ func (s *Server) registerCommon() {
 	s.mux.HandleFunc("GET /api/v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /api/v1/statement", s.handleStatement)
 	s.mux.HandleFunc("GET /api/v1/offerings", s.handleOfferings)
+	s.mux.HandleFunc("POST /api/v1/datasets", s.handleListDataset)
+	s.mux.HandleFunc("GET /api/v1/datasets", s.handleDatasets)
+	s.mux.HandleFunc("GET /api/v1/datasets/{id}", s.handleDataset)
+	s.mux.HandleFunc("DELETE /api/v1/datasets/{id}", s.handleDelistDataset)
+	s.mux.HandleFunc("GET /api/v1/datasets/{id}/menu", s.handleTenantMenu)
+	s.mux.HandleFunc("GET /api/v1/datasets/{id}/curve", s.handleTenantCurve)
+	s.mux.HandleFunc("POST /api/v1/datasets/{id}/buy", s.handleTenantBuy)
+	s.mux.HandleFunc("GET /api/v1/datasets/{id}/stats", s.handleTenantStats)
+	s.mux.HandleFunc("GET /api/v1/datasets/{id}/statement", s.handleTenantStatement)
 	s.registerUI()
 }
 
-// menuNames lists the purchasable offerings: the broker's menu, or in
-// multi mode the union across every live market.
-func (s *Server) menuNames() []string {
-	if s.registry != nil {
-		return s.registry.Menu()
-	}
-	return s.broker.Menu()
-}
-
-// offering resolves an offering by its global name in either mode.
+// offering resolves an offering by its global name across tenants.
 func (s *Server) offering(name string) (*market.Offering, error) {
-	if s.registry != nil {
-		m, err := s.registry.ResolveOffering(name)
-		if err != nil {
-			return nil, err
-		}
-		return m.Broker.Offering(name)
+	m, err := s.registry.ResolveOffering(name)
+	if err != nil {
+		return nil, err
 	}
-	return s.broker.Offering(name)
-}
-
-// doBuy executes one purchase in either mode. In multi mode the registry
-// routes by offering name and participates in the delist drain protocol.
-func (s *Server) doBuy(offering, loss, option string, value float64) (*market.Purchase, error) {
-	if s.registry != nil {
-		return s.registry.Buy(offering, loss, option, value)
-	}
-	switch option {
-	case "quality":
-		return s.broker.BuyAtQuality(offering, loss, value)
-	case "error-budget":
-		return s.broker.BuyWithErrorBudget(offering, loss, value)
-	case "price-budget":
-		return s.broker.BuyWithPriceBudget(offering, loss, value)
-	default:
-		return nil, fmt.Errorf("unknown option %q (want quality, error-budget or price-budget)", option)
-	}
+	return m.Broker.Offering(name)
 }
 
 // ServeHTTP implements http.Handler.
@@ -208,7 +176,7 @@ func menuEntries(names []string, lookup func(string) (*market.Offering, error)) 
 }
 
 func (s *Server) handleMenu(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, MenuResponse{Offerings: menuEntries(s.menuNames(), s.offering)})
+	writeJSON(w, http.StatusOK, MenuResponse{Offerings: menuEntries(s.registry.Menu(), s.offering)})
 }
 
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
@@ -262,7 +230,7 @@ func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, maxBuyBody, "buy", &req) {
 		return
 	}
-	p, err := s.doBuy(req.Offering, req.Loss, req.Option, req.Value)
+	p, err := s.registry.Buy(req.Offering, req.Loss, req.Option, req.Value)
 	if err != nil {
 		s.failBuy(w, err)
 		return
@@ -297,19 +265,10 @@ type StatsResponse struct {
 	Payouts    map[string]float64 `json:"payouts"`
 }
 
-// statsResponse assembles the books in either mode; multi mode sums the
-// per-market running aggregates and unions the payout maps (offering
-// names are globally unique, so the union is collision-free).
+// statsResponse sums the per-market running aggregates and unions the
+// payout maps (offering names are globally unique, so the union is
+// collision-free).
 func (s *Server) statsResponse() StatsResponse {
-	if s.registry == nil {
-		return StatsResponse{
-			Offerings:    len(s.broker.Menu()),
-			Sales:        s.broker.SaleCount(),
-			TotalRevenue: s.broker.TotalRevenue(),
-			BrokerFees:   s.broker.TotalFees(),
-			Payouts:      s.broker.Payouts(),
-		}
-	}
 	st := s.registry.Stats()
 	payouts := make(map[string]float64)
 	for _, id := range s.registry.IDs() {
@@ -334,13 +293,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsResponse())
 }
 
-// statement builds the accounting report; multi mode concatenates the
-// per-market statements (each O(offerings) from the running books) into
-// one marketplace-wide report.
+// statement concatenates the per-market statements (each O(offerings)
+// from the running books) into one marketplace-wide report.
 func (s *Server) statement() *market.Statement {
-	if s.registry == nil {
-		return s.broker.Statement()
-	}
 	merged := &market.Statement{}
 	for _, id := range s.registry.IDs() {
 		m, err := s.registry.Get(id)
@@ -366,7 +321,7 @@ func (s *Server) handleStatement(w http.ResponseWriter, _ *http.Request) {
 // handleOfferings serves the audit snapshots of every listing.
 func (s *Server) handleOfferings(w http.ResponseWriter, _ *http.Request) {
 	snaps := make([]market.OfferingSnapshot, 0)
-	for _, name := range s.menuNames() {
+	for _, name := range s.registry.Menu() {
 		o, err := s.offering(name)
 		if err != nil {
 			continue

@@ -7,8 +7,8 @@ import (
 	"nimbus/internal/registry"
 )
 
-// The multi-tenant API surface (NewMulti only). Dataset IDs are path
-// segments, matched by Go 1.22 ServeMux wildcards:
+// The multi-tenant API surface. Dataset IDs are path segments, matched by
+// Go 1.22 ServeMux wildcards:
 //
 //	POST   /api/v1/datasets                 list a dataset (train + price + open)
 //	GET    /api/v1/datasets                 all live datasets with their books
@@ -23,23 +23,9 @@ import (
 // WithTenantRate gives every tenant market its own purchase budget: a
 // token bucket per dataset ID (not per client), so one tenant's flash
 // crowd cannot starve the rest of the marketplace. Applies to the
-// tenant-scoped buy route in multi mode.
+// tenant-scoped buy route.
 func WithTenantRate(rate float64, burst int) Option {
 	return func(s *Server) { s.tenantRL = NewRateLimiter(rate, burst) }
-}
-
-// registerTenantRoutes mounts the dataset lifecycle API; called from
-// NewMulti only.
-func (s *Server) registerTenantRoutes() {
-	s.mux.HandleFunc("POST /api/v1/datasets", s.handleListDataset)
-	s.mux.HandleFunc("GET /api/v1/datasets", s.handleDatasets)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}", s.handleDataset)
-	s.mux.HandleFunc("DELETE /api/v1/datasets/{id}", s.handleDelistDataset)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}/menu", s.handleTenantMenu)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}/curve", s.handleTenantCurve)
-	s.mux.HandleFunc("POST /api/v1/datasets/{id}/buy", s.handleTenantBuy)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}/stats", s.handleTenantStats)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}/statement", s.handleTenantStatement)
 }
 
 // ListDatasetRequest is the POST /api/v1/datasets body: the listing spec

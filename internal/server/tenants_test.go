@@ -196,10 +196,10 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("ledgers: north %d, south %d", north.Broker.SaleCount(), south.Broker.SaleCount())
 	}
 	snap := reg.Snapshot()
-	if got := snap.CounterValue("nimbus_market_purchases_total", "market", "north"); got != 3 {
+	if got := snap.CounterValue("nimbus_purchases_total", "offering", "north/linear-regression"); got != 3 {
 		t.Fatalf("north purchase counter %v", got)
 	}
-	if got := snap.CounterValue("nimbus_market_purchases_total", "market", "south"); got != 1 {
+	if got := snap.CounterValue("nimbus_purchases_total", "offering", "south/linear-regression"); got != 1 {
 		t.Fatalf("south purchase counter %v", got)
 	}
 }

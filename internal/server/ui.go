@@ -113,7 +113,7 @@ func (s *Server) handleUIMenu(w http.ResponseWriter, _ *http.Request) {
 		Offerings []MenuEntry
 		Stats     StatsResponse
 	}{
-		Offerings: menuEntries(s.menuNames(), s.offering),
+		Offerings: menuEntries(s.registry.Menu(), s.offering),
 		Stats:     s.statsResponse(),
 	}
 	s.renderUI(w, uiMenuTmpl, page)
@@ -176,7 +176,7 @@ func (s *Server) handleUIBuy(w http.ResponseWriter, r *http.Request) {
 	}
 	loss := r.PostFormValue("loss")
 	var p *market.Purchase
-	p, err = s.doBuy(offering, loss, r.PostFormValue("option"), value)
+	p, err = s.registry.Buy(offering, loss, r.PostFormValue("option"), value)
 	if err != nil {
 		page.Message = err.Error()
 		page.MessageClass = "err"

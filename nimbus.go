@@ -40,6 +40,7 @@ import (
 	"nimbus/internal/noise"
 	"nimbus/internal/opt"
 	"nimbus/internal/pricing"
+	"nimbus/internal/registry"
 	"nimbus/internal/rng"
 	"nimbus/internal/server"
 	"nimbus/internal/vec"
@@ -271,9 +272,15 @@ var (
 	ResearchFromSamples = market.ResearchFromSamples
 )
 
-// HTTP broker service (the Nimbus demo surface).
+// HTTP broker service (the Nimbus demo surface). Every served market is
+// a tenant of a registry; a single market is a registry of one.
 type (
-	// Server is the broker's HTTP handler.
+	// RegistryConfig tunes a registry; an empty Root keeps it in memory.
+	RegistryConfig = registry.Config
+	// MarketSpec describes one tenant market: its dataset source, model
+	// and listing parameters.
+	MarketSpec = registry.Spec
+	// Server is the marketplace's HTTP handler.
 	Server = server.Server
 	// Client is the Go client for the broker API.
 	Client = server.Client
@@ -283,8 +290,10 @@ type (
 
 // HTTP constructors.
 var (
-	// NewServer wraps a broker in the HTTP API.
-	NewServer = server.New
+	// OpenRegistry opens a registry, recovering its tenants from disk.
+	OpenRegistry = registry.Open
+	// NewServer serves a registry over the HTTP API.
+	NewServer = server.NewMulti
 	// NewClient returns a client for a broker base URL.
 	NewClient = server.NewClient
 )

@@ -63,32 +63,26 @@ func TestEndToEndMarketplace(t *testing.T) {
 	}
 }
 
-// TestEndToEndHTTP drives the same flow over the HTTP facade.
+// TestEndToEndHTTP drives the same flow over the HTTP facade: a
+// memory-only registry of one market, served and bought from.
 func TestEndToEndHTTP(t *testing.T) {
-	d, err := StandIn("CASP", GenConfig{Rows: 200, Seed: 110})
+	r, err := OpenRegistry(RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := NewPair(d, NewRand(111))
+	defer r.Close()
+	m, err := r.List(MarketSpec{
+		ID: "CASP", Generator: "CASP", Rows: 200,
+		Grid: 8, Samples: 40, Seed: 110, ValueScale: 50,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seller, err := NewSeller(pair, Research{
-		Value:  func(e float64) float64 { return 50 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
+	offering, err := m.Broker.Offering(m.Broker.Menu()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	broker := NewBroker(112)
-	offering, err := broker.List(OfferingConfig{
-		Seller: seller, Model: LinearRegression{Ridge: 1e-3},
-		Grid: DefaultGrid(8), Samples: 40, Seed: 113,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(broker))
+	srv := httptest.NewServer(NewServer(r))
 	defer srv.Close()
 
 	client := NewClient(srv.URL)
