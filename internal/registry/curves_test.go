@@ -193,6 +193,55 @@ func TestCachedCurvesAreBitIdentical(t *testing.T) {
 	sameMarketBits(t, "recomputed after deletion", marketBits(t, r), want)
 }
 
+// TestCurveCacheFromEarlierBuild reopens tenant directories whose
+// manifest.json and curves.json were written by the build before the
+// batched Monte-Carlo kernel (testdata/cached-tenants: a CASP regression
+// tenant and a Simulated2 classification tenant, odd sample counts). The
+// cache key does not cover the estimator's code, so every curve must be a
+// hit, and the served markets must match what this build estimates from
+// scratch bit for bit.
+func TestCurveCacheFromEarlierBuild(t *testing.T) {
+	fixture := filepath.Join("testdata", "cached-tenants")
+	root := t.TempDir()
+	var specs []Spec
+	for _, id := range []string{"casp", "sim2"} {
+		if err := os.Mkdir(filepath.Join(root, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{manifestFile, curvesFile} {
+			data, err := os.ReadFile(filepath.Join(fixture, id, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, id, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spec, err := readManifest(filepath.Join(fixture, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+
+	r, hits, misses, log := reopen(t, root)
+	if hits != 3 || misses != 0 { // squared for casp; logistic + zero-one for sim2
+		t.Fatalf("reopen of earlier-build caches: %d hits, %d misses; want 3, 0\n%s", hits, misses, log)
+	}
+
+	fresh, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for _, s := range specs {
+		if _, err := fresh.List(s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameMarketBits(t, "earlier-build cache vs fresh estimate", marketBits(t, r), marketBits(t, fresh))
+}
+
 func TestDamagedCurveCacheRecomputes(t *testing.T) {
 	specs := curveSpecs()
 	root := t.TempDir()
