@@ -1,9 +1,11 @@
 package ml
 
 import (
+	"fmt"
 	"testing"
 
 	"nimbus/internal/dataset"
+	"nimbus/internal/rng"
 )
 
 func benchReg(b *testing.B, n int) *dataset.Dataset {
@@ -69,5 +71,29 @@ func BenchmarkZeroOneLossEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loss.Eval(w, d)
+	}
+}
+
+// BenchmarkEvalBatch scores noisy models the way the Monte-Carlo error
+// transformation does at nimbusd's Simulated2 listing shape (d = 20, 2500
+// test rows): w=4 is one EvalBatch call, w=1 is Eval. ns/model is the
+// cost of one model's loss either way.
+func BenchmarkEvalBatch(b *testing.B) {
+	d := benchCls(b, 2500)
+	src := rng.New(79)
+	ws := make([][]float64, 4)
+	for j := range ws {
+		ws[j] = src.NormalVec(d.D(), 1)
+	}
+	out := make([]float64, len(ws))
+	for _, l := range []Loss{SquaredLoss{}, LogisticLoss{}, HingeLoss{}, ZeroOneLoss{}} {
+		for _, width := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/w=%d", l.Name(), width), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					l.EvalBatch(ws[:width], d, out[:width])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*width), "ns/model")
+			})
+		}
 	}
 }

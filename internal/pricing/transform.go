@@ -110,6 +110,11 @@ func (c *ErrorCurve) XForError(target float64) (float64, error) {
 			hi = mid
 		}
 	}
+	// A target in the 1e-12 tolerance band below the best error matches no
+	// point; it buys the best offered version.
+	if i == len(c.Errs) {
+		return c.Xs[last], nil
+	}
 	// Interpolate within the bracketing segment for a continuous inverse.
 	// Errs is non-increasing, so a segment that is not strictly decreasing
 	// is flat; an ordered comparison detects it without float equality (and
@@ -194,6 +199,12 @@ func (cfg TransformConfig) withDefaults() (TransformConfig, error) {
 	if cfg.Data == nil {
 		return cfg, errors.New("pricing: TransformConfig.Data is nil")
 	}
+	if len(cfg.Optimal) != cfg.Data.D() {
+		return cfg, fmt.Errorf("pricing: TransformConfig.Optimal has %d coordinates, Data has %d features", len(cfg.Optimal), cfg.Data.D())
+	}
+	if cfg.Samples < 0 {
+		return cfg, fmt.Errorf("pricing: TransformConfig.Samples is %d, must not be negative", cfg.Samples)
+	}
 	if cfg.Mechanism == nil {
 		cfg.Mechanism = noise.Gaussian{}
 	}
@@ -211,12 +222,19 @@ func (cfg TransformConfig) withDefaults() (TransformConfig, error) {
 	return cfg, nil
 }
 
+// evalBlock is how many noisy instances monteCarloMeans scores per pass
+// over the evaluation set (ml.Loss.EvalBatch).
+const evalBlock = 4
+
 // monteCarloMeans runs the simulation: for each grid point, the mean
 // reporting loss over cfg.Samples noisy instances, before any projection.
 //
 // Grid points are evaluated concurrently (this is the broker's listing
 // bottleneck); each point derives its own noise stream from the base seed,
-// so results are deterministic and independent of GOMAXPROCS.
+// so results are deterministic and independent of GOMAXPROCS. Within a
+// point, instances are drawn in stream order and scored evalBlock at a
+// time; the losses are still added to the sum one by one in draw order, so
+// the means do not depend on the block width either.
 func monteCarloMeans(cfg TransformConfig) []float64 {
 	xs := cfg.Xs
 	errs := make([]float64, len(xs))
@@ -230,15 +248,23 @@ func monteCarloMeans(cfg TransformConfig) []float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			noisy := make([][]float64, evalBlock)
+			losses := make([]float64, evalBlock)
 			for i := range next {
 				// Per-point derived seed: deterministic under any
 				// parallelism.
 				src := rng.New(cfg.Seed + 1000003*int64(i))
 				delta := 1 / xs[i]
 				var sum float64
-				for s := 0; s < cfg.Samples; s++ {
-					noisy := cfg.Mechanism.Perturb(cfg.Optimal, delta, src)
-					sum += cfg.Loss.Eval(noisy, cfg.Data)
+				for s := 0; s < cfg.Samples; s += evalBlock {
+					k := min(evalBlock, cfg.Samples-s)
+					for j := range noisy[:k] {
+						noisy[j] = cfg.Mechanism.Perturb(cfg.Optimal, delta, src)
+					}
+					cfg.Loss.EvalBatch(noisy[:k], cfg.Data, losses[:k])
+					for _, l := range losses[:k] {
+						sum += l
+					}
 				}
 				errs[i] = sum / float64(cfg.Samples)
 			}

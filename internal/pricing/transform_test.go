@@ -96,6 +96,12 @@ func TestXForErrorInverse(t *testing.T) {
 	if _, err := c.XForError(1e-9); !errors.Is(err, ErrUnattainable) {
 		t.Fatalf("want ErrUnattainable, got %v", err)
 	}
+	// A budget inside the tolerance below the best error buys the best
+	// version instead of indexing past the curve.
+	last := len(c.Xs) - 1
+	if x, err := c.XForError(c.Errs[last] - 1e-13); err != nil || x != c.Xs[last] {
+		t.Fatalf("budget just under the best error: x=%v err=%v, want %v", x, err, c.Xs[last])
+	}
 }
 
 func TestMonteCarloTransformMonotone(t *testing.T) {
@@ -182,10 +188,13 @@ func TestLaplaceAndUniformMechanismsTransform(t *testing.T) {
 func TestTransformConfigValidation(t *testing.T) {
 	pair, w := regFixture(t)
 	bad := []TransformConfig{
-		{Loss: ml.SquaredLoss{}, Data: pair.Test},                                   // nil optimal
-		{Optimal: w, Data: pair.Test},                                               // nil loss
-		{Optimal: w, Loss: ml.SquaredLoss{}},                                        // nil data
-		{Optimal: w, Loss: ml.SquaredLoss{}, Data: pair.Test, Xs: []float64{-1, 1}}, // bad grid
+		{Loss: ml.SquaredLoss{}, Data: pair.Test},                                                   // nil optimal
+		{Optimal: w, Data: pair.Test},                                                               // nil loss
+		{Optimal: w, Loss: ml.SquaredLoss{}},                                                        // nil data
+		{Optimal: w, Loss: ml.SquaredLoss{}, Data: pair.Test, Xs: []float64{-1, 1}},                 // bad grid
+		{Optimal: w, Loss: ml.SquaredLoss{}, Data: pair.Test, Samples: -1},                          // negative samples
+		{Optimal: w[1:], Loss: ml.SquaredLoss{}, Data: pair.Test},                                   // h* too short
+		{Optimal: append(append([]float64(nil), w...), 0), Loss: ml.SquaredLoss{}, Data: pair.Test}, // h* too long
 	}
 	for i, cfg := range bad {
 		if _, err := MonteCarloTransform(cfg); err == nil {
