@@ -93,7 +93,9 @@ func RunErrorInverseAblation(scale float64, samples int, seed int64) ([]ErrorInv
 			return nil, err
 		}
 		analyticElapsed := stopwatch()
-		analytic, err := pricing.AnalyticSquaredTransform(optimal, loss, pair.Test, grid)
+		analytic, err := pricing.GaussianTransform(pricing.TransformConfig{
+			Optimal: optimal, Loss: loss, Data: pair.Test, Xs: grid,
+		})
 		analyticTime := analyticElapsed()
 		if err != nil {
 			return nil, err

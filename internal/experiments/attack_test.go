@@ -4,7 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"nimbus/internal/dataset"
+	"nimbus/internal/market"
+	"nimbus/internal/ml"
 	"nimbus/internal/opt"
+	"nimbus/internal/pricing"
+	"nimbus/internal/rng"
 )
 
 func TestAttackValidation(t *testing.T) {
@@ -92,4 +97,55 @@ func TestAttackAveragingReducesError(t *testing.T) {
 	if averaged >= single/5 {
 		t.Fatalf("averaging 10 instances only improved %v -> %v", single, averaged)
 	}
+}
+
+// TestAttackFailsAgainstListedMenus mounts the averaging attack on the
+// prices a broker lists for a CASP and a Simulated2 market under the
+// Gaussian mechanism, whose error curves are exact: no (k, x) may profit.
+func TestAttackFailsAgainstListedMenus(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		data  *dataset.Dataset
+		model ml.Model
+	}{
+		{"CASP", mustStandIn(t, "CASP", 400), ml.LinearRegression{Ridge: 1e-4}},
+		{"Simulated2", dataset.Simulated2(dataset.GenConfig{Rows: 600, Seed: 12}), ml.LogisticRegression{Ridge: 1e-4}},
+	} {
+		pair, err := dataset.NewPair(c.data, rng.New(13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seller, err := market.NewSeller(pair, market.Research{
+			Value:  func(e float64) float64 { return 100 / (1 + e) },
+			Demand: func(float64) float64 { return 1 },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := market.NewBroker(14).List(market.OfferingConfig{
+			Seller: seller, Model: c.model, Grid: pricing.DefaultGrid(20), Seed: 15,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := RunArbitrageAttack(AttackConfig{
+			Price: o.PriceFunc.Price, Dim: len(o.Optimal),
+			Ks: []int{2, 3, 5, 10}, Xs: []float64{1, 2, 5, 10}, Rounds: 50, Seed: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := MaxProfit(results); p > 1e-9 {
+			t.Fatalf("%s: arbitrage profit %v against the listed prices", c.name, p)
+		}
+	}
+}
+
+func mustStandIn(t *testing.T, name string, rows int) *dataset.Dataset {
+	t.Helper()
+	d, err := dataset.StandIn(name, dataset.GenConfig{Rows: rows, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

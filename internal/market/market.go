@@ -80,11 +80,12 @@ type OfferingConfig struct {
 	// Samples is the Monte-Carlo sample count per grid point for the error
 	// transformation; 0 means 500. (The paper uses 2000; the default trades
 	// a little smoothness for setup latency, and the isotonic projection
-	// removes the extra jitter.)
+	// removes the extra jitter.) Under the Gaussian mechanism the curves
+	// are exact (pricing.GaussianTransform) and Samples is not read.
 	Samples int
 	// Seed drives the error-transformation Monte Carlo.
 	Seed int64
-	// CurveCache, when non-nil, memoizes the Monte-Carlo estimates (see
+	// CurveCache, when non-nil, memoizes the error curves (see
 	// pricing.TransformConfig.Cache); the listed offering is bit-identical
 	// with or without it.
 	CurveCache *pricing.CurveCache
@@ -191,10 +192,17 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 			losses = append(losses, extra)
 		}
 	}
+	// Under the Gaussian mechanism a noisy model's margin is Gaussian, so
+	// the curves are exact; other mechanisms are estimated by Monte Carlo.
+	_, gaussian := mech.(noise.Gaussian)
 	errCurves := make(map[string]*pricing.ErrorCurve, len(losses))
 	seed := cfg.Seed
 	for _, loss := range losses {
-		ec, err := pricing.MonteCarloTransform(pricing.TransformConfig{
+		transform := pricing.MonteCarloTransform
+		if gaussian && pricing.GaussianClosedForm(loss) {
+			transform = pricing.GaussianTransform
+		}
+		ec, err := transform(pricing.TransformConfig{
 			Optimal:   optimal,
 			Loss:      loss,
 			Data:      pair.Test,

@@ -18,7 +18,7 @@ import (
 // so a production broker survives restarts without losing its books. The
 // reproducible parts are relisted from source on startup (see cmd/nimbusd
 // and internal/registry): datasets are regenerated or re-parsed and h* is
-// refit, while the Monte-Carlo error curves may come from a content-keyed
+// refit, while the error curves may come from a content-keyed
 // cache (OfferingConfig.CurveCache). Only the ledger is irreplaceable
 // state.
 

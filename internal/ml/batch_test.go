@@ -22,7 +22,7 @@ func refEval(l Loss, w []float64, d *dataset.Dataset) float64 {
 		case SquaredLoss:
 			s += (m - y) * (m - y)
 		case LogisticLoss:
-			s += log1pExp(-y * m)
+			s += Log1pExp(-y * m)
 		case HingeLoss:
 			if h := 1 - y*m; h > 0 {
 				s += h
@@ -81,7 +81,7 @@ func TestEvalBatchMatchesEvalBitForBit(t *testing.T) {
 				ws := make([][]float64, width)
 				for j := range ws {
 					// Spread the scales so the logistic term takes all
-					// three of log1pExp's branches, and make one vector
+					// three of Log1pExp's branches, and make one vector
 					// zero so the zero-one tie rule is exercised.
 					ws[j] = src.NormalVec(dim, math.Pow(10, float64(j%4)-1))
 					if j == 2 {

@@ -277,10 +277,10 @@ func TestSigmoidStability(t *testing.T) {
 	if math.Abs(sigmoid(0)-0.5) > 1e-15 {
 		t.Fatal("sigmoid(0) != 0.5")
 	}
-	if v := log1pExp(100); v != 100 {
-		t.Fatalf("log1pExp(100) = %v", v)
+	if v := Log1pExp(100); v != 100 {
+		t.Fatalf("Log1pExp(100) = %v", v)
 	}
-	if v := log1pExp(-100); v > 1e-40 && math.Abs(v-math.Exp(-100)) > 1e-50 {
-		t.Fatalf("log1pExp(-100) = %v", v)
+	if v := Log1pExp(-100); v > 1e-40 && math.Abs(v-math.Exp(-100)) > 1e-50 {
+		t.Fatalf("Log1pExp(-100) = %v", v)
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"sync"
 )
 
-// CurveCache memoizes Monte-Carlo error-transformation estimates: the raw
-// per-grid-point means MonteCarloTransform averages before the isotonic
-// projection, keyed by a digest of every input they depend on. The paper's
-// broker estimates the transformation once, at listing time; a cache that
-// outlives the process lets a restarted broker relist without re-running
-// the simulation. A hit serves the stored means and a miss computes and
-// stores them; because the key covers every input and the projection is
-// deterministic, a hit yields a bit-identical curve.
+// CurveCache memoizes error transformations: the raw per-grid-point means
+// MonteCarloTransform or GaussianTransform computes before the isotonic
+// projection, keyed by a digest of the estimator and every input it
+// reads. The paper's broker computes the transformation once, at listing
+// time; a cache that outlives the process lets a restarted broker relist
+// without recomputing it. A hit serves the stored means and a miss
+// computes and stores them; because the key covers every input and the
+// projection is deterministic, a hit yields a bit-identical curve.
 //
 // The zero value is not usable; create caches with NewCurveCache or
 // DecodeCurveCache. A CurveCache is safe for concurrent use.
@@ -46,9 +46,11 @@ type cacheFile struct {
 }
 
 // cacheVersion is the encoded format. It is also hashed into every key
-// (see curveKey), so bumping it when the estimator or the key layout
-// changes turns every stored entry into a miss.
-const cacheVersion = 1
+// (see contentKey), so bumping it when an estimator or the key layout
+// changes turns every stored entry into a miss. Version 2 added the
+// estimator tag and the exact Gaussian-mechanism curves; a version-1 file
+// decodes as an error and its tenant recomputes once.
+const cacheVersion = 2
 
 // NewCurveCache returns an empty cache.
 func NewCurveCache() *CurveCache {
@@ -112,7 +114,7 @@ func (c *CurveCache) Encode(w io.Writer) error {
 }
 
 // Stats reports how many lookups were served from the cache and how many
-// had to run the Monte-Carlo.
+// had to compute their curve.
 func (c *CurveCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -161,17 +163,25 @@ func (c *CurveCache) store(key string, xs, means []float64) {
 	}
 }
 
-// curveKey is the content key of a Monte-Carlo run: SHA-256 over the
-// format version, the loss type and parameters, the mechanism, the bits of
-// h*, the grid and the evaluation set, and the sample count and seed. cfg
-// must already carry its defaults (TransformConfig.withDefaults), so an
-// implicit default and the same value spelled out share a key. Loss and
-// mechanism parameters are hashed in their %#v rendering, which is exact
-// for the value types the ml and noise packages define; a type whose
-// rendering holds pointers simply never hits.
+// Estimator tags, hashed into every key so two estimators of the same
+// curve never share an entry.
+const (
+	monteCarloTag = "monte-carlo"
+	gaussianTag   = "gaussian-exact"
+)
+
+// contentKey is SHA-256 over the format version, the estimator tag, the
+// loss type and parameters, the mechanism, the bits of h*, the grid and
+// the evaluation set, and — for the Monte-Carlo only — the sample count
+// and seed. cfg must already carry its defaults
+// (TransformConfig.withDefaults), so an implicit default and the same
+// value spelled out share a key. Loss and mechanism parameters are hashed
+// in their %#v rendering, which is exact for the value types the ml and
+// noise packages define; a type whose rendering holds pointers simply
+// never hits.
 //
 //lint:declassify a SHA-256 digest of h* reveals none of its coordinates
-func curveKey(cfg TransformConfig) string {
+func contentKey(cfg TransformConfig, estimator string) string {
 	h := sha256.New()
 	var buf []byte
 	flush := func() {
@@ -196,6 +206,7 @@ func curveKey(cfg TransformConfig) string {
 		flush()
 	}
 	str(fmt.Sprintf("nimbus/pricing.curveKey v%d", cacheVersion))
+	str(estimator)
 	str(fmt.Sprintf("%T %#v", cfg.Loss, cfg.Loss))
 	str(cfg.Mechanism.Name())
 	str(fmt.Sprintf("%T %#v", cfg.Mechanism, cfg.Mechanism))
@@ -205,8 +216,10 @@ func curveKey(cfg TransformConfig) string {
 	num(int64(cfg.Data.Features.Cols))
 	floats(cfg.Data.Features.Data)
 	floats(cfg.Data.Target)
-	num(int64(cfg.Samples))
-	num(cfg.Seed)
+	if estimator == monteCarloTag {
+		num(int64(cfg.Samples))
+		num(cfg.Seed)
+	}
 	flush()
 	return hex.EncodeToString(h.Sum(nil))
 }

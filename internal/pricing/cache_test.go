@@ -2,6 +2,7 @@ package pricing
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -11,6 +12,13 @@ import (
 	"nimbus/internal/ml"
 	"nimbus/internal/noise"
 )
+
+// curveKey is the content key of a Monte-Carlo run, the key the
+// Monte-Carlo cache tests and the estimator golden read entries under.
+func curveKey(cfg TransformConfig) string { return contentKey(cfg, monteCarloTag) }
+
+// exactKey is the content key of an exact Gaussian-mechanism curve.
+func exactKey(cfg TransformConfig) string { return contentKey(cfg, gaussianTag) }
 
 // cacheFixture is a small, fully defaulted transform configuration.
 func cacheFixture(t *testing.T) TransformConfig {
@@ -92,6 +100,44 @@ func TestCurveKeySensitivity(t *testing.T) {
 	// The mutations must not have leaked into the shared fixture.
 	if curveKey(base) != key {
 		t.Fatal("a mutation modified the base configuration")
+	}
+}
+
+// TestExactKey checks the exact curve's key: it covers the inputs
+// GaussianTransform reads, leaves out the Monte-Carlo's sample count and
+// seed, and never collides with the Monte-Carlo key of the same inputs.
+func TestExactKey(t *testing.T) {
+	base := cacheFixture(t)
+	key := exactKey(base)
+	if key == curveKey(base) {
+		t.Fatal("exact and Monte-Carlo curves of the same inputs share a key")
+	}
+	for name, mutate := range map[string]func(*TransformConfig){
+		"samples": func(c *TransformConfig) { c.Samples++ },
+		"seed":    func(c *TransformConfig) { c.Seed++ },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if exactKey(cfg) != key {
+			t.Errorf("the exact key depends on the unread %s", name)
+		}
+	}
+	for name, mutate := range map[string]func(*TransformConfig){
+		"optimal bit": func(c *TransformConfig) {
+			c.Optimal = append([]float64(nil), c.Optimal...)
+			c.Optimal[0] = flipBit(c.Optimal[0])
+		},
+		"test target": func(c *TransformConfig) {
+			c.Data = cloneData(c.Data)
+			c.Data.Target[3] = flipBit(c.Data.Target[3])
+		},
+		"loss reg": func(c *TransformConfig) { c.Loss = ml.SquaredLoss{Reg: flipBit(1e-3)} },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if exactKey(cfg) == key {
+			t.Errorf("flipping %s keeps the exact key", name)
+		}
 	}
 }
 
@@ -179,16 +225,18 @@ func TestCurveCacheDropsUnusedEntries(t *testing.T) {
 
 func TestDecodeCurveCacheRejectsDamage(t *testing.T) {
 	key := strings.Repeat("ab", 32)
+	head := fmt.Sprintf(`{"version":%d,"curves":[`, cacheVersion)
 	for name, in := range map[string]string{
-		"empty":         ``,
-		"garbage":       `not json`,
-		"truncated":     `{"version":1,"curves":[{"key":"` + key + `","xs":[1,2],"me`,
-		"wrong version": `{"version":99,"curves":[]}`,
-		"short key":     `{"version":1,"curves":[{"key":"abc","xs":[1],"means":[2]}]}`,
-		"non-hex key":   `{"version":1,"curves":[{"key":"` + strings.Repeat("zz", 32) + `","xs":[1],"means":[2]}]}`,
-		"length":        `{"version":1,"curves":[{"key":"` + key + `","xs":[1,2],"means":[2]}]}`,
-		"no grid":       `{"version":1,"curves":[{"key":"` + key + `","xs":[],"means":[]}]}`,
-		"duplicate": `{"version":1,"curves":[{"key":"` + key + `","xs":[1],"means":[2]},` +
+		"empty":           ``,
+		"garbage":         `not json`,
+		"truncated":       head + `{"key":"` + key + `","xs":[1,2],"me`,
+		"wrong version":   `{"version":99,"curves":[]}`,
+		"earlier version": fmt.Sprintf(`{"version":%d,"curves":[]}`, cacheVersion-1),
+		"short key":       head + `{"key":"abc","xs":[1],"means":[2]}]}`,
+		"non-hex key":     head + `{"key":"` + strings.Repeat("zz", 32) + `","xs":[1],"means":[2]}]}`,
+		"length":          head + `{"key":"` + key + `","xs":[1,2],"means":[2]}]}`,
+		"no grid":         head + `{"key":"` + key + `","xs":[],"means":[]}]}`,
+		"duplicate": head + `{"key":"` + key + `","xs":[1],"means":[2]},` +
 			`{"key":"` + key + `","xs":[1],"means":[3]}]}`,
 	} {
 		if _, err := DecodeCurveCache([]byte(in)); err == nil {
@@ -202,11 +250,12 @@ func TestDecodeCurveCacheRejectsDamage(t *testing.T) {
 // survive an encode/decode round trip.
 func FuzzCurveCache(f *testing.F) {
 	key := strings.Repeat("0f", 32)
-	f.Add([]byte(`{"version":1,"curves":[{"key":"` + key + `","xs":[1,50.5,100],"means":[3,2,1]}]}`))
-	f.Add([]byte(`{"version":1,"curves":[]}`))
-	f.Add([]byte(`{"version":1,"curves":[{"key":"` + key + `","xs":[1,2],"means":[1]}]}`))
-	f.Add([]byte(`{"version":1,"curves":[{"key":"` + key + `","xs":[1e308,-0],"means":[5e-324,1]}]}`))
-	f.Add([]byte(`{"version":2}`))
+	head := fmt.Sprintf(`{"version":%d,"curves":[`, cacheVersion)
+	f.Add([]byte(head + `{"key":"` + key + `","xs":[1,50.5,100],"means":[3,2,1]}]}`))
+	f.Add([]byte(head + `]}`))
+	f.Add([]byte(head + `{"key":"` + key + `","xs":[1,2],"means":[1]}]}`))
+	f.Add([]byte(head + `{"key":"` + key + `","xs":[1e308,-0],"means":[5e-324,1]}]}`))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d}`, cacheVersion)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCurveCache(data)
 		if err != nil {

@@ -53,9 +53,10 @@ func newErrorCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
 			return nil, fmt.Errorf("pricing: duplicate quality grid point %v", x)
 		}
 	}
-	// Monte-Carlo estimates fluctuate; project onto the non-increasing cone
-	// so the curve is a valid transformation (the true curve is monotone by
-	// Theorem 4).
+	// Project onto the non-increasing cone so the curve is a valid
+	// transformation. Monte-Carlo estimates fluctuate, and the exact
+	// zero-one expectation need not be monotone; for a convex loss the
+	// exact curve already is (Theorem 4), and the projection leaves it be.
 	smooth, err := isotone.RegressAntitonic(errs, nil)
 	if err != nil {
 		return nil, err
@@ -127,10 +128,12 @@ func (c *ErrorCurve) XForError(target float64) (float64, error) {
 	return c.Xs[i-1] + t*(c.Xs[i]-c.Xs[i-1]), nil
 }
 
-// TransformConfig describes a Monte-Carlo error transformation run: for
-// each grid quality x, draw Samples noisy instances at δ = 1/x and average
-// the reporting loss, reproducing the paper's Figure 6 methodology (2000
-// random models per NCP).
+// TransformConfig describes an error transformation run: for each grid
+// quality x, the expected reporting loss of the noisy instances at
+// δ = 1/x. MonteCarloTransform estimates it by drawing Samples instances
+// per grid point, reproducing the paper's Figure 6 methodology (2000
+// random models per NCP); GaussianTransform computes it exactly for the
+// Gaussian mechanism and reads neither Samples nor Seed.
 type TransformConfig struct {
 	// Optimal is the trained optimal model instance h*.
 	//
@@ -149,9 +152,9 @@ type TransformConfig struct {
 	// Seed drives the Monte-Carlo stream.
 	Seed int64
 	// Cache, when non-nil, memoizes the raw per-grid-point means under a
-	// digest of every field above: a hit skips the simulation, a miss runs
-	// it and stores the result. The isotonic projection runs either way,
-	// so a hit yields a bit-identical curve.
+	// digest of the estimator and every field above it reads: a hit skips
+	// the computation, a miss runs it and stores the result. The isotonic
+	// projection runs either way, so a hit yields a bit-identical curve.
 	Cache *CurveCache
 }
 
@@ -169,23 +172,32 @@ func DefaultGrid(n int) []float64 {
 }
 
 // MonteCarloTransform estimates the error curve empirically. It works for
-// any reporting loss, including the non-convex zero-one error. With a
-// Cache, a run whose inputs were estimated before reuses that estimate.
+// any reporting loss, including the non-convex zero-one error, and any
+// mechanism. With a Cache, a run whose inputs were estimated before reuses
+// that estimate.
 func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
+	return transform(cfg, monteCarloTag, monteCarloMeans)
+}
+
+// transform is the path every estimator shares: validate cfg and fill its
+// defaults, take the raw per-grid means from cfg.Cache under the content
+// key for estimator or compute them with means (storing them on a miss),
+// and project them onto a monotone curve.
+func transform(cfg TransformConfig, estimator string, means func(TransformConfig) []float64) (*ErrorCurve, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Cache == nil {
-		return newErrorCurve(cfg.Loss.Name(), cfg.Xs, monteCarloMeans(cfg))
+		return newErrorCurve(cfg.Loss.Name(), cfg.Xs, means(cfg))
 	}
-	key := curveKey(cfg)
-	means, ok := cfg.Cache.lookup(key, cfg.Xs)
+	k := contentKey(cfg, estimator)
+	m, ok := cfg.Cache.lookup(k, cfg.Xs)
 	if !ok {
-		means = monteCarloMeans(cfg)
-		cfg.Cache.store(key, cfg.Xs, means)
+		m = means(cfg)
+		cfg.Cache.store(k, cfg.Xs, m)
 	}
-	return newErrorCurve(cfg.Loss.Name(), cfg.Xs, means)
+	return newErrorCurve(cfg.Loss.Name(), cfg.Xs, m)
 }
 
 // withDefaults validates cfg and fills the documented defaults.
@@ -229,80 +241,57 @@ const evalBlock = 4
 // monteCarloMeans runs the simulation: for each grid point, the mean
 // reporting loss over cfg.Samples noisy instances, before any projection.
 //
-// Grid points are evaluated concurrently (this is the broker's listing
-// bottleneck); each point derives its own noise stream from the base seed,
-// so results are deterministic and independent of GOMAXPROCS. Within a
-// point, instances are drawn in stream order and scored evalBlock at a
-// time; the losses are still added to the sum one by one in draw order, so
-// the means do not depend on the block width either.
+// Each grid point derives its own noise stream from the base seed, so the
+// results are deterministic and independent of GOMAXPROCS. Within a point,
+// instances are drawn in stream order and scored evalBlock at a time; the
+// losses are still added to the sum one by one in draw order, so the means
+// do not depend on the block width either.
 func monteCarloMeans(cfg TransformConfig) []float64 {
 	xs := cfg.Xs
 	errs := make([]float64, len(xs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(xs) {
-		workers = len(xs)
-	}
+	forEachPoint(len(xs), func(i int) {
+		noisy := make([][]float64, evalBlock)
+		losses := make([]float64, evalBlock)
+		src := rng.New(cfg.Seed + 1000003*int64(i))
+		delta := 1 / xs[i]
+		var sum float64
+		for s := 0; s < cfg.Samples; s += evalBlock {
+			k := min(evalBlock, cfg.Samples-s)
+			for j := range noisy[:k] {
+				noisy[j] = cfg.Mechanism.Perturb(cfg.Optimal, delta, src)
+			}
+			cfg.Loss.EvalBatch(noisy[:k], cfg.Data, losses[:k])
+			for _, l := range losses[:k] {
+				sum += l
+			}
+		}
+		errs[i] = sum / float64(cfg.Samples)
+	})
+	return errs
+}
+
+// forEachPoint calls point(i) for every grid index i below n, spread over
+// GOMAXPROCS goroutines: the grid points of a curve are independent, and
+// evaluating them is nearly all of a cold curve's cost. It returns once
+// every call has.
+func forEachPoint(n int, point func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			noisy := make([][]float64, evalBlock)
-			losses := make([]float64, evalBlock)
 			for i := range next {
-				// Per-point derived seed: deterministic under any
-				// parallelism.
-				src := rng.New(cfg.Seed + 1000003*int64(i))
-				delta := 1 / xs[i]
-				var sum float64
-				for s := 0; s < cfg.Samples; s += evalBlock {
-					k := min(evalBlock, cfg.Samples-s)
-					for j := range noisy[:k] {
-						noisy[j] = cfg.Mechanism.Perturb(cfg.Optimal, delta, src)
-					}
-					cfg.Loss.EvalBatch(noisy[:k], cfg.Data, losses[:k])
-					for _, l := range losses[:k] {
-						sum += l
-					}
-				}
-				errs[i] = sum / float64(cfg.Samples)
+				point(i)
 			}
 		}()
 	}
-	for i := range xs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
-	return errs
-}
-
-// AnalyticSquaredTransform computes the error curve for the squared loss in
-// closed form. For the calibrated mechanisms with per-coordinate variance
-// δ/d,
-//
-//	E[λ(h* + w, D)] = λ(h*, D) + (δ/d)·tr(XᵀX)/(2n) + Reg·δ,
-//
-// since the cross terms vanish in expectation. This is exact, so the
-// ablation benches compare it against the Monte-Carlo estimate.
-func AnalyticSquaredTransform(optimal []float64, loss ml.SquaredLoss, data *dataset.Dataset, xs []float64) (*ErrorCurve, error) {
-	if len(xs) == 0 {
-		xs = DefaultGrid(100)
-	}
-	base := loss.Eval(optimal, data)
-	trace := data.Features.Gram().Trace()
-	d := float64(data.D())
-	n := float64(data.N())
-	errs := make([]float64, len(xs))
-	for i, x := range xs {
-		if x <= 0 {
-			return nil, fmt.Errorf("pricing: quality grid point %v must be positive", x)
-		}
-		delta := 1 / x
-		errs[i] = base + delta/d*trace/(2*n) + loss.Reg*delta
-	}
-	return newErrorCurve(loss.Name(), xs, errs)
 }
 
 // ExactCurve wraps an analytically-known expected-error sequence in an

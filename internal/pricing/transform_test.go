@@ -138,7 +138,7 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := AnalyticSquaredTransform(w, loss, pair.Test, xs)
+	an, err := GaussianTransform(TransformConfig{Optimal: w, Loss: loss, Data: pair.Test, Xs: xs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +200,16 @@ func TestTransformConfigValidation(t *testing.T) {
 		if _, err := MonteCarloTransform(cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+		if _, err := GaussianTransform(cfg); err == nil {
+			t.Errorf("case %d accepted by the exact transform", i)
+		}
 	}
 	if _, err := SquaredToOptimalCurve([]float64{0, 1}); err == nil {
 		t.Error("non-positive grid accepted")
 	}
-	if _, err := AnalyticSquaredTransform(w, ml.SquaredLoss{}, pair.Test, []float64{-1, 2}); err == nil {
-		t.Error("analytic transform accepted bad grid")
+	if _, err := GaussianTransform(TransformConfig{Optimal: w, Loss: ml.SquaredLoss{}, Data: pair.Test,
+		Mechanism: noise.Laplace{}}); err == nil {
+		t.Error("exact transform accepted the Laplace mechanism")
 	}
 }
 

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -193,16 +194,11 @@ func TestCachedCurvesAreBitIdentical(t *testing.T) {
 	sameMarketBits(t, "recomputed after deletion", marketBits(t, r), want)
 }
 
-// TestCurveCacheFromEarlierBuild reopens tenant directories whose
-// manifest.json and curves.json were written by the build before the
-// batched Monte-Carlo kernel (testdata/cached-tenants: a CASP regression
-// tenant and a Simulated2 classification tenant, odd sample counts). The
-// cache key does not cover the estimator's code, so every curve must be a
-// hit, and the served markets must match what this build estimates from
-// scratch bit for bit.
-func TestCurveCacheFromEarlierBuild(t *testing.T) {
-	fixture := filepath.Join("testdata", "cached-tenants")
-	root := t.TempDir()
+// copyFixture copies the casp and sim2 tenant directories of a testdata
+// fixture (manifest.json and curves.json each) under root and returns
+// their specs.
+func copyFixture(t *testing.T, fixture, root string) []Spec {
+	t.Helper()
 	var specs []Spec
 	for _, id := range []string{"casp", "sim2"} {
 		if err := os.Mkdir(filepath.Join(root, id), 0o755); err != nil {
@@ -223,6 +219,20 @@ func TestCurveCacheFromEarlierBuild(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
+	return specs
+}
+
+// TestCurveCacheFromEarlierBuild reopens tenant directories whose
+// manifest.json and curves.json were written by an earlier build of the
+// exact Gaussian-mechanism curves (testdata/cached-tenants: a CASP
+// regression tenant and a Simulated2 classification tenant, odd sample
+// counts). The cache key does not cover the estimator's code, so every
+// curve must be a hit, and the served markets must match what this build
+// computes from scratch bit for bit: a change that moves an exact curve
+// must bump the cache version.
+func TestCurveCacheFromEarlierBuild(t *testing.T) {
+	root := t.TempDir()
+	specs := copyFixture(t, filepath.Join("testdata", "cached-tenants"), root)
 
 	r, hits, misses, log := reopen(t, root)
 	if hits != 3 || misses != 0 { // squared for casp; logistic + zero-one for sim2
@@ -242,6 +252,33 @@ func TestCurveCacheFromEarlierBuild(t *testing.T) {
 	sameMarketBits(t, "earlier-build cache vs fresh estimate", marketBits(t, r), marketBits(t, fresh))
 }
 
+// TestCurveCacheUpgradeFromMonteCarlo reopens the same two tenants with
+// the version-1 curves.json a build serving Monte-Carlo curves wrote
+// (testdata/v1-tenants). Every entry must miss, each file must be
+// rewritten at the current version, and the next reopen must be all hits.
+func TestCurveCacheUpgradeFromMonteCarlo(t *testing.T) {
+	root := t.TempDir()
+	specs := copyFixture(t, filepath.Join("testdata", "v1-tenants"), root)
+
+	r, hits, misses, log := reopen(t, root)
+	if hits != 0 || misses != 3 || !strings.Contains(log, "curve cache version 1") {
+		t.Fatalf("reopen of version-1 caches: %d hits, %d misses; want 0, 3\n%s", hits, misses, log)
+	}
+	r.Close()
+	for _, s := range specs {
+		data, err := os.ReadFile(filepath.Join(root, s.ID, curvesFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pricing.DecodeCurveCache(data); err != nil {
+			t.Fatalf("tenant %s: rewritten cache: %v", s.ID, err)
+		}
+	}
+	if _, hits, misses, log = reopen(t, root); hits != 3 || misses != 0 {
+		t.Fatalf("reopen after the upgrade: %d hits, %d misses; want 3, 0\n%s", hits, misses, log)
+	}
+}
+
 func TestDamagedCurveCacheRecomputes(t *testing.T) {
 	specs := curveSpecs()
 	root := t.TempDir()
@@ -250,10 +287,15 @@ func TestDamagedCurveCacheRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var head struct{ Version int }
+	if err := json.Unmarshal(valid, &head); err != nil {
+		t.Fatal(err)
+	}
+	version := fmt.Sprintf(`"version":%d`, head.Version)
 	for name, content := range map[string][]byte{
 		"truncated":     valid[:len(valid)/2],
 		"garbage":       []byte("\x00\xffnot a cache\n"),
-		"wrong version": []byte(strings.Replace(string(valid), `"version":1`, `"version":7`, 1)),
+		"wrong version": []byte(strings.Replace(string(valid), version, `"version":7`, 1)),
 	} {
 		t.Run(name, func(t *testing.T) {
 			for _, s := range specs {

@@ -93,9 +93,9 @@ func Open(cfg Config) (*Registry, error) {
 		r.delisted = reg.Counter("nimbus_registry_delisted_total")
 		reg.Help("nimbus_registry_delisted_total", "Datasets delisted since startup.")
 		r.curveHits = reg.Counter("nimbus_registry_curve_cache_hits_total")
-		reg.Help("nimbus_registry_curve_cache_hits_total", "Error curves served from a tenant's curves.json instead of the Monte-Carlo.")
+		reg.Help("nimbus_registry_curve_cache_hits_total", "Error curves served from a tenant's curves.json instead of being recomputed.")
 		r.curveMisses = reg.Counter("nimbus_registry_curve_cache_misses_total")
-		reg.Help("nimbus_registry_curve_cache_misses_total", "Error curves the Monte-Carlo estimated because curves.json held no matching entry.")
+		reg.Help("nimbus_registry_curve_cache_misses_total", "Error curves computed because curves.json held no matching entry.")
 	}
 	if cfg.Root != "" {
 		if err := os.MkdirAll(cfg.Root, 0o755); err != nil {

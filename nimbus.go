@@ -170,7 +170,7 @@ type (
 	ErrorCurve = pricing.ErrorCurve
 	// PriceErrorCurve is the buyer-facing menu of (quality, error, price).
 	PriceErrorCurve = pricing.PriceErrorCurve
-	// TransformConfig configures a Monte-Carlo error transformation.
+	// TransformConfig configures an error transformation.
 	TransformConfig = pricing.TransformConfig
 )
 
@@ -180,8 +180,8 @@ var (
 	NewPriceFunction = pricing.NewFunction
 	// MonteCarloTransform estimates the error transformation empirically.
 	MonteCarloTransform = pricing.MonteCarloTransform
-	// AnalyticSquaredTransform computes it in closed form for squared loss.
-	AnalyticSquaredTransform = pricing.AnalyticSquaredTransform
+	// GaussianTransform computes it exactly for the Gaussian mechanism.
+	GaussianTransform = pricing.GaussianTransform
 	// DefaultGrid is the paper's quality grid of n points in [1, 100].
 	DefaultGrid = pricing.DefaultGrid
 	// CheckSubadditiveOnGrid verifies Theorem 5's subadditivity condition.
