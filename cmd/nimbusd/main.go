@@ -42,7 +42,6 @@ type config struct {
 	addr       string
 	scale      float64
 	seed       int64
-	samples    int
 	gridN      int
 	rate       float64
 	commission float64
@@ -60,7 +59,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.Float64Var(&cfg.scale, "scale", 1e-3, "Table 3 row-count scale (1.0 = paper size)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "random seed")
-	flag.IntVar(&cfg.samples, "samples", 200, "Monte-Carlo models per NCP when building curves")
 	flag.IntVar(&cfg.gridN, "grid", 50, "offered quality grid size")
 	flag.Float64Var(&cfg.rate, "rate", 50, "per-client request rate limit (requests/second; 0 disables)")
 	flag.Float64Var(&cfg.commission, "commission", 0.1, "broker's cut of each sale, in [0, 1)")
@@ -76,16 +74,38 @@ func main() {
 	}
 }
 
+// The HTTP server's timeouts. The largest request is a listing: up to
+// 32 MiB of inline CSV, read in full before the handler trains and prices
+// it. readTimeout covers the whole request, so it admits that body over a
+// ~2.2 Mbit/s uplink. net/http runs writeTimeout from the end of the
+// request headers, so it covers the body, the listing itself and the
+// response. A keep-alive connection idle for idleTimeout is closed.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	writeTimeout      = 5 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is nimbusd's http.Server for handler on addr, with every
+// timeout set: no client can hold a connection open indefinitely.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveUntilSignal runs the HTTP server until SIGINT/SIGTERM or a
 // listener failure, draining in-flight requests on signal. It returns the
 // listener error, if any; persisting the books belongs to the caller,
 // after the drain.
 func serveUntilSignal(addr string, handler http.Handler, ready func()) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -121,7 +141,6 @@ func seedSuite(r *registry.Registry, cfg config, logf func(format string, args .
 			Generator: name,
 			Rows:      dataset.Table3Rows(name, cfg.scale),
 			Grid:      cfg.gridN,
-			Samples:   cfg.samples,
 			Seed:      cfg.seed + int64(i),
 		}
 		start := time.Now()

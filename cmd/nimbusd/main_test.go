@@ -16,7 +16,7 @@ import (
 // its SLA, and a second boot recovers them from their manifests instead
 // of re-seeding.
 func TestSeedSuiteListsAndRecovers(t *testing.T) {
-	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4, journalSync: "never", dataDir: t.TempDir()}
+	cfg := config{scale: 1e-9, seed: 3, gridN: 4, journalSync: "never", dataDir: t.TempDir()}
 	var logs []string
 	logf := func(format string, args ...any) { logs = append(logs, format) }
 
@@ -75,7 +75,7 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 // record tail, and either way the next startup recovers the exact books.
 func TestJournalSurvivesRestarts(t *testing.T) {
 	cfg := config{
-		scale: 1e-9, seed: 3, samples: 10, gridN: 4,
+		scale: 1e-9, seed: 3, gridN: 4,
 		journalSync:     "group",
 		journalSegBytes: 1024,
 		dataDir:         t.TempDir(),

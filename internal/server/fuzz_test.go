@@ -118,3 +118,98 @@ func FuzzBuyHandler(f *testing.F) {
 		}
 	})
 }
+
+// FuzzListHandler sends arbitrary bodies to the listing route of a
+// memory-only registry behind the full middleware stack. No body may
+// panic the handler or earn a 5xx, and none may leave a half-listed
+// tenant: a 201 lists exactly one new market, whole (its offerings priced
+// and each curve served), and any other answer leaves the registry as it
+// was. Listed markets are delisted again so the registry never fills up.
+// Bodies that decode to a large listing are skipped to keep each input
+// fast; a listing past a cap still runs, as its answer is a quick 400.
+func FuzzListHandler(f *testing.F) {
+	tel := telemetry.NewRegistry()
+	reg, err := registry.Open(registry.Config{Commission: 0.1, Telemetry: tel})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { reg.Close() })
+	logf := func(string, ...any) {}
+	h := WithMiddleware(NewMulti(reg, WithLogger(logf), WithTelemetry(tel)), logf, tel)
+
+	for _, req := range []ListDatasetRequest{
+		cheapListRequest("casp", 17),
+		{Spec: registry.Spec{ID: "sim2", Generator: "Simulated2", Rows: 120, Grid: 6, Model: "auto"}},
+		{Spec: registry.Spec{ID: "csv", CSV: true, Task: "classification", Target: "y", Grid: 5},
+			Data: "a,b,y\n1,2,1\n2,1,0\n3,3,1\n0,1,0\n2,2,1\n1,0,0\n4,1,1\n0,3,0\n"},
+		{Spec: registry.Spec{ID: "nan", CSV: true, Task: "regression", Target: "y", Grid: 4},
+			Data: "a,y\nNaN,1\n1,Inf\n2,3\n3,4\n4,5\n5,6\n6,7\n7,8\n"},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"id":"casp","generator":"CASP","rows":100,"grid":4,"data":"x"}`))
+	f.Add([]byte(`{"id":".hidden","generator":"CASP"}`))
+	f.Add([]byte(`{"id":"big","generator":"CASP","grid":1001}`))
+	f.Add([]byte(`{"id":"x","csv":true,"task":"regression","target":"y","data":"y\n1\n"}`))
+	f.Add([]byte(`{"id":"x","generator":"CASP","rows":-5,"grid":-1,"value_scale":-1}`))
+	f.Add([]byte(`{"id":"x","generator":"CASP"} trailing`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(``))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var req ListDatasetRequest
+		if json.Unmarshal(in, &req) == nil && (req.Rows > 2000 && req.Rows <= registry.MaxRows ||
+			req.Grid > 50 && req.Grid <= registry.MaxGrid || len(req.Data) > 1<<16) {
+			t.Skip("listing too large for a fuzz input")
+		}
+		before := reg.IDs()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/datasets", bytes.NewReader(in)))
+		if rec.Code >= 500 {
+			t.Fatalf("body %q: status %d: %s", in, rec.Code, rec.Body)
+		}
+		after := reg.IDs()
+		if rec.Code != http.StatusCreated {
+			if strings.Join(after, ",") != strings.Join(before, ",") {
+				t.Fatalf("body %q: status %d changed the markets from %v to %v", in, rec.Code, before, after)
+			}
+			return
+		}
+		var resp DatasetResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: undecodable listing %s: %v", in, rec.Body, err)
+		}
+		if len(after) != len(before)+1 {
+			t.Fatalf("body %q: listed, but the markets went from %v to %v", in, before, after)
+		}
+		m, err := reg.Get(resp.Spec.ID)
+		if err != nil {
+			t.Fatalf("body %q: listed %s, which is not live: %v", in, resp.Spec.ID, err)
+		}
+		menu := m.Broker.Menu()
+		if len(menu) == 0 || len(resp.Offerings) != len(menu) {
+			t.Fatalf("body %q: listed %s with offerings %v, menu %v", in, resp.Spec.ID, resp.Offerings, menu)
+		}
+		for _, name := range menu {
+			o, err := m.Broker.Offering(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.VerifySLA(); err != nil {
+				t.Fatalf("body %q: offering %s: %v", in, name, err)
+			}
+			for _, loss := range o.LossNames() {
+				if _, err := o.Curve(loss); err != nil {
+					t.Fatalf("body %q: offering %s: %v", in, name, err)
+				}
+			}
+		}
+		if _, err := reg.Delist(resp.Spec.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
