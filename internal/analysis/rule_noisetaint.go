@@ -118,8 +118,9 @@ func (r NoiseTaint) InspectGroup(gp *GroupPass) {
 }
 
 // computeTaintSummary derives one function's summary: a per-parameter
-// run (sources off) finds param→result flows and parameter leaks, and
-// one internal run (sources on) finds results tainted from within.
+// run (sources off) finds param→result flows, parameter leaks and the
+// slice parameters the parameter is written into, and one internal run
+// (sources on) finds results and slice parameters tainted from within.
 func computeTaintSummary(w *taintWorld, n *FuncNode, cfg *CFG, sanName string, fset *token.FileSet) *taintSummary {
 	params := paramObjs(n)
 	nres, named := resultObjs(n)
@@ -127,7 +128,9 @@ func computeTaintSummary(w *taintWorld, n *FuncNode, cfg *CFG, sanName string, f
 		nparams: len(params),
 		flows:   make([]uint64, len(params)),
 		leaks:   make([]*taintLeak, len(params)),
+		writes:  make([]uint64, len(params)),
 	}
+	slices := sliceParams(params)
 	for i, p := range params {
 		if p == nil {
 			continue
@@ -135,6 +138,9 @@ func computeTaintSummary(w *taintWorld, n *FuncNode, cfg *CFG, sanName string, f
 		i := i
 		tf := newTaintFlow(w, n, taintFact{p: true}, false)
 		res := Forward(cfg, tf)
+		if exit, ok := res.Before(cfg.Exit); ok && i < 64 {
+			s.writes[i] = taintedParams(exit, params, slices) &^ (1 << uint(i))
+		}
 		leak := func(pos token.Pos, _ string, clause string) {
 			if s.leaks[i] == nil {
 				s.leaks[i] = &taintLeak{pos: pos, what: truncateClause(clause)}
@@ -149,6 +155,9 @@ func computeTaintSummary(w *taintWorld, n *FuncNode, cfg *CFG, sanName string, f
 	}
 	tf := newTaintFlow(w, n, taintFact{}, true)
 	res := Forward(cfg, tf)
+	if exit, ok := res.Before(cfg.Exit); ok {
+		s.paramsTainted = taintedParams(exit, params, slices)
+	}
 	scanTaint(tf, res, nres, named, sanName, fset, taintEvents{
 		ret: func(bits uint64) { s.resultTainted |= bits },
 	})

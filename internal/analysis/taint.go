@@ -11,7 +11,13 @@ package analysis
 //	              callee (a sink call, or a store into an unmarked
 //	              field) — the caller is reported when it passes taint;
 //	resultTainted the results carrying taint born inside the function
-//	              (a source read or source call).
+//	              (a source read or source call);
+//	writes        per parameter, the bitset of slice parameters the
+//	              parameter's taint is written into (dst[i] = src[i],
+//	              copy(dst, src)), so fill(buf, h*) taints the caller's
+//	              buf;
+//	paramsTainted the slice parameters written with taint born inside
+//	              the function.
 //
 // Sources are *marked struct fields* (built-in configuration plus
 // //lint:source directives) and *source functions* (whose raw-model
@@ -64,17 +70,19 @@ type taintSummary struct {
 	flows         []uint64 // per param: bitset of results reached
 	leaks         []*taintLeak
 	resultTainted uint64
+	writes        []uint64 // per param: bitset of slice params written
+	paramsTainted uint64
 }
 
 func taintSummaryEqual(a, b *taintSummary) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.nparams != b.nparams || a.resultTainted != b.resultTainted {
+	if a.nparams != b.nparams || a.resultTainted != b.resultTainted || a.paramsTainted != b.paramsTainted {
 		return false
 	}
 	for i := range a.flows {
-		if a.flows[i] != b.flows[i] {
+		if a.flows[i] != b.flows[i] || a.writes[i] != b.writes[i] {
 			return false
 		}
 	}
@@ -372,6 +380,7 @@ func (tf *taintFlow) Equal(a, b taintFact) bool {
 }
 
 func (tf *taintFlow) Transfer(f taintFact, n ast.Node) taintFact {
+	f = tf.callWrites(f, n)
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		return tf.assign(f, n)
@@ -458,6 +467,68 @@ func (tf *taintFlow) assign(f taintFact, as *ast.AssignStmt) taintFact {
 		}
 	}
 	return f
+}
+
+// callWrites applies the write summaries of the calls in n: a callee
+// that writes a tainted argument (or, with sources active, a source it
+// reads itself) into a slice parameter taints the caller's argument for
+// that parameter. Sanitizers and declassified functions write nothing
+// tainted.
+func (tf *taintFlow) callWrites(f taintFact, n ast.Node) taintFact {
+	info := tf.pkg.Info
+	ast.Inspect(n, func(x ast.Node) bool {
+		if isFuncLit(x) {
+			return false
+		}
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn, recv, lit := calleeOf(info, call)
+		if fn != nil && (tf.w.isSan(fn) || tf.w.declass[fn]) {
+			return true
+		}
+		for _, target := range tf.callTargets(fn, lit) {
+			s := tf.w.lookup(target)
+			if s == nil {
+				continue
+			}
+			var bits uint64
+			if tf.sourcesActive {
+				bits = s.paramsTainted
+			}
+			forEachTaintedArg(tf, f, call, recv, s.nparams, func(idx int) {
+				if idx < len(s.writes) {
+					bits |= s.writes[idx]
+				}
+			})
+			for j := 0; bits != 0; j++ {
+				if bits&1 != 0 {
+					if arg := argAt(call, recv, j); arg != nil {
+						f = f.with(rootObj(info, arg))
+					}
+				}
+				bits >>= 1
+			}
+		}
+		return true
+	})
+	return f
+}
+
+// argAt is the call's expression for callee parameter j: the receiver
+// first for a method call, then the arguments; nil past the last one.
+func argAt(call *ast.CallExpr, recv ast.Expr, j int) ast.Expr {
+	if recv != nil {
+		if j == 0 {
+			return recv
+		}
+		j--
+	}
+	if j < len(call.Args) {
+		return call.Args[j]
+	}
+	return nil
 }
 
 // multiValueBits evaluates a multi-result RHS (call, type assertion,
@@ -604,6 +675,20 @@ func (tf *taintFlow) callBits(f taintFact, call *ast.CallExpr) uint64 {
 		return ^uint64(0)
 	}
 	return 0
+}
+
+// callTargets resolves the group nodes a call can land in: those of a
+// declared function or method, or an immediately invoked literal.
+func (tf *taintFlow) callTargets(fn *types.Func, lit *ast.FuncLit) []*FuncNode {
+	if fn != nil {
+		return tf.calleeNodes(fn, lit)
+	}
+	if lit != nil {
+		if node := tf.w.graph.LitNode(lit); node != nil {
+			return []*FuncNode{node}
+		}
+	}
+	return nil
 }
 
 // calleeNodes resolves the group nodes a call to fn can land in.
@@ -758,6 +843,32 @@ func paramObjs(n *FuncNode) []types.Object {
 		}
 	}
 	return out
+}
+
+// sliceParams is the bitset of params (in summary order) whose type is a
+// slice: the parameters a callee can write into for its caller.
+func sliceParams(params []types.Object) uint64 {
+	var bits uint64
+	for i, p := range params {
+		if p == nil || i >= 64 {
+			continue
+		}
+		if _, ok := p.Type().Underlying().(*types.Slice); ok {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits
+}
+
+// taintedParams is the subset of the params in mask that fact taints.
+func taintedParams(fact taintFact, params []types.Object, mask uint64) uint64 {
+	var bits uint64
+	for i, p := range params {
+		if i < 64 && mask&(1<<uint(i)) != 0 && fact[p] {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits
 }
 
 // resultObjs lists the named result objects (nil for unnamed) and the

@@ -114,3 +114,48 @@ func Suppressed(m *Model) ([]byte, error) {
 	//lint:ignore noise-taint golden: exercising suppression of a group finding
 	return json.Marshal(m.Raw)
 }
+
+// fill copies a model into the caller's buffer element by element.
+func fill(dst, src []float64) {
+	for i, v := range src {
+		dst[i] = v
+	}
+}
+
+// FillSink releases a buffer a helper filled with the raw model.
+func FillSink(m *Model) ([]byte, error) {
+	buf := make([]float64, len(m.Raw))
+	fill(buf, m.Raw)
+	return json.Marshal(buf) // want noise-taint
+}
+
+// FillSanitized fills the buffer from a perturbed copy: clean.
+func FillSanitized(m *Model, k Mech) ([]byte, error) {
+	buf := make([]float64, len(m.Raw))
+	fill(buf, k.Perturb(m.Raw))
+	return json.Marshal(buf)
+}
+
+// load copies the source field into the caller's buffer itself.
+func load(dst []float64, m *Model) {
+	copy(dst, m.Raw)
+}
+
+// LoadSink releases a buffer a helper filled from a source field.
+func LoadSink(m *Model) ([]byte, error) {
+	buf := make([]float64, len(m.Raw))
+	load(buf, m)
+	return json.Marshal(buf) // want noise-taint
+}
+
+// fillNorm writes only a declassified aggregate into its buffer: clean.
+func fillNorm(dst, src []float64) {
+	dst[0] = Norm(src)
+}
+
+// NormSink releases the aggregate a helper wrote: clean.
+func NormSink(m *Model) ([]byte, error) {
+	buf := make([]float64, 1)
+	fillNorm(buf, m.Raw)
+	return json.Marshal(buf)
+}
