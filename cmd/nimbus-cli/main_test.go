@@ -21,7 +21,7 @@ func startBroker(t *testing.T) (string, string) {
 	t.Cleanup(func() { r.Close() })
 	m, err := r.List(registry.Spec{
 		ID: "CASP", Generator: "CASP", Rows: 200,
-		Grid: 8, Samples: 30, Seed: 71, ValueScale: 60,
+		Grid: 8, Seed: 71, ValueScale: 60,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestCLIDatasetCommands(t *testing.T) {
 	if err := run(srv.URL, []string{"list-dataset",
 		"-id", "acme-houses", "-owner", "acme",
 		"-csv", csvPath, "-task", "regression", "-target", "price",
-		"-grid", "8", "-samples", "24", "-seed", "5"}); err != nil {
+		"-grid", "8", "-seed", "5"}); err != nil {
 		t.Fatalf("list-dataset: %v", err)
 	}
 	if err := run(srv.URL, []string{"datasets"}); err != nil {

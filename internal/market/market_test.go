@@ -255,6 +255,42 @@ func TestExtraLossesAndStrategy(t *testing.T) {
 	}
 }
 
+// TestRegressionZeroOneCurve lists a regression offering with the zero-one
+// loss as an extra loss. Its real-valued targets never equal a ±1
+// prediction, so the exact curve must be the Monte-Carlo's: an error of 1
+// at every quality.
+func TestRegressionZeroOneCurve(t *testing.T) {
+	seller := regSeller(t)
+	grid := pricing.DefaultGrid(10)
+	o, err := NewBroker(18).List(OfferingConfig{
+		Seller:      seller,
+		Model:       ml.LinearRegression{Ridge: 1e-3},
+		Grid:        grid,
+		Samples:     40,
+		Seed:        19,
+		ExtraLosses: []ml.Loss{ml.ZeroOneLoss{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := o.Curve("zero-one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := pricing.MonteCarloTransform(pricing.TransformConfig{
+		Optimal: o.Optimal, Loss: ml.ZeroOneLoss{}, Data: seller.Pair.Test,
+		Xs: grid, Samples: 40, Seed: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range c.Points() {
+		if p.Error != mc.Errs[i] || p.Error != 1 {
+			t.Fatalf("x=%v: listed zero-one error %v, Monte-Carlo %v, want 1", p.X, p.Error, mc.Errs[i])
+		}
+	}
+}
+
 func TestBuyAtQuality(t *testing.T) {
 	b := NewBroker(5)
 	o := listRegression(t, b)
