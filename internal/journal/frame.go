@@ -1,8 +1,12 @@
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
+	"os"
+	"slices"
 )
 
 // Frame layout. Every journal record is framed as
@@ -17,7 +21,7 @@ import (
 // over the payload only; a corrupted length field either points past the
 // end of the segment (classified as a torn tail) or lands the CRC check
 // on the wrong bytes (classified by where the damage sits, see
-// scanFrames).
+// frameScanner.scan).
 
 const (
 	frameHeaderSize = 8
@@ -50,7 +54,7 @@ func appendFrame(dst, payload []byte) []byte {
 type scanStatus int
 
 const (
-	// scanClean: the buffer is exactly a concatenation of intact frames.
+	// scanClean: the stream is exactly a concatenation of intact frames.
 	scanClean scanStatus = iota
 	// scanTorn: an intact prefix is followed by a partial or
 	// checksum-failing final frame with nothing but that frame (or
@@ -74,60 +78,160 @@ func (s scanStatus) String() string {
 	}
 }
 
-// scanFrames walks buf from the start, invoking fn (when non-nil) with
-// each intact frame's payload. It returns the byte length of the valid
-// prefix, the number of intact frames, and how the stream ends. A non-nil
-// error from fn aborts the walk and is returned verbatim.
+// scanBufSize is the read buffer a frameScanner streams segments
+// through. With it, the memory recovery needs is this buffer plus the
+// largest record, whatever the segment size or the journal's length.
+const scanBufSize = 64 << 10
+
+// scanResult is what scanning one segment found.
+type scanResult struct {
+	size     int64 // bytes in the stream
+	validLen int64 // length of the intact frame prefix
+	frames   int   // intact frames in that prefix
+	status   scanStatus
+}
+
+// frameScanner reads frames out of segment streams. One scanner serves
+// every segment of a recovery, replay or verification pass: it reuses its
+// read buffer, and its payload buffer grows only to the largest frame it
+// has seen.
+type frameScanner struct {
+	r       *bufio.Reader
+	payload []byte
+}
+
+func newFrameScanner() *frameScanner {
+	return &frameScanner{r: bufio.NewReaderSize(nil, scanBufSize)}
+}
+
+// scan reads r to its end, invoking fn (when non-nil) with each intact
+// frame's payload, and reports the valid prefix, the frame count, the
+// stream's length and how it ends. The payload is valid only during the
+// call to fn. A non-nil error from fn aborts the scan and is returned
+// verbatim; a read error is returned too.
 //
 // Classification rules, in order, at the first non-intact frame:
 //
-//   - header or payload extends past the end of the buffer → torn
+//   - header or payload extends past the end of the stream → torn
 //   - zero-length frame: a run of zero bytes to the end is a zero-filled
 //     torn tail; anything else after it is corruption (a genuine empty
 //     record is never written, and CRC32-C of the empty payload is 0, so
 //     an all-zero header would otherwise decode as a valid record)
+//   - length over MaxRecordSize with the stream holding that many bytes
+//     after the header → corrupt
 //   - checksum mismatch with nothing (or only zero-fill) after the frame
 //     → torn; with real data after it → corrupt
-func scanFrames(buf []byte, fn func(payload []byte) error) (validLen int64, frames int, status scanStatus, err error) {
-	off := int64(0)
-	n := int64(len(buf))
+//
+// Every verdict other than clean reads the rest of the stream, which is
+// how the stream's length and the zero-fill lookahead are known.
+func (s *frameScanner) scan(r io.Reader, fn func(payload []byte) error) (scanResult, error) {
+	s.r.Reset(r)
+	var res scanResult
+	var hdr [frameHeaderSize]byte
+	// end finishes the scan at the first frame that is not intact, read
+	// bytes into it: it reads the rest of the stream, and the stream is
+	// torn when torn holds of the rest's length and zero-fill, else
+	// corrupt.
+	end := func(read int64, torn func(rest int64, zero bool) bool) (scanResult, error) {
+		rest, zero, err := s.drain()
+		res.size = res.validLen + read + rest
+		res.status = scanCorrupt
+		if torn(rest, zero) {
+			res.status = scanTorn
+		}
+		return res, err
+	}
 	for {
-		if off == n {
-			return off, frames, scanClean, nil
+		n, err := io.ReadFull(s.r, hdr[:])
+		switch {
+		case err == io.EOF:
+			res.size = res.validLen
+			return res, nil
+		case err == io.ErrUnexpectedEOF:
+			return end(int64(n), func(int64, bool) bool { return true })
+		case err != nil:
+			return res, err
 		}
-		if n-off < frameHeaderSize {
-			return off, frames, scanTorn, nil
+		plen := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+		want := binary.LittleEndian.Uint32(hdr[4:8])
+		switch {
+		case plen == 0:
+			return end(frameHeaderSize, func(_ int64, zero bool) bool { return want == 0 && zero })
+		case plen > MaxRecordSize:
+			return end(frameHeaderSize, func(rest int64, _ bool) bool { return rest < plen })
 		}
-		plen := int64(binary.LittleEndian.Uint32(buf[off : off+4]))
-		want := binary.LittleEndian.Uint32(buf[off+4 : off+8])
-		end := off + frameHeaderSize + plen
-		if plen == 0 {
-			if allZero(buf[off:]) {
-				return off, frames, scanTorn, nil
-			}
-			return off, frames, scanCorrupt, nil
+		payload, err := s.readPayload(int(plen))
+		if err != nil {
+			return res, err
 		}
-		if end > n || plen > MaxRecordSize {
-			if end > n {
-				return off, frames, scanTorn, nil
-			}
-			return off, frames, scanCorrupt, nil
+		if int64(len(payload)) < plen {
+			return end(frameHeaderSize+int64(len(payload)), func(int64, bool) bool { return true })
 		}
-		payload := buf[off+frameHeaderSize : end]
 		if crc32.Checksum(payload, castagnoli) != want {
-			if end == n || allZero(buf[end:]) {
-				return off, frames, scanTorn, nil
-			}
-			return off, frames, scanCorrupt, nil
+			return end(frameHeaderSize+plen, func(_ int64, zero bool) bool { return zero })
 		}
 		if fn != nil {
 			if err := fn(payload); err != nil {
-				return off, frames, scanClean, err
+				return res, err
 			}
 		}
-		frames++
-		off = end
+		res.frames++
+		res.validLen += frameHeaderSize + plen
 	}
+}
+
+// readPayload reads the next n bytes into the payload buffer. The buffer
+// grows only as bytes arrive, so a corrupt length field in a short stream
+// cannot make it allocate more than the stream holds. It returns fewer
+// than n bytes, and no error, when the stream ends first.
+func (s *frameScanner) readPayload(n int) ([]byte, error) {
+	p := s.payload[:0]
+	var err error
+	for len(p) < n && err == nil {
+		chunk := min(n-len(p), scanBufSize)
+		p = slices.Grow(p, chunk)
+		var k int
+		k, err = io.ReadFull(s.r, p[len(p):len(p)+chunk])
+		p = p[:len(p)+k]
+	}
+	s.payload = p
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return p, err
+}
+
+// drain consumes the rest of the stream, returning its length and whether
+// every byte of it is zero.
+func (s *frameScanner) drain() (n int64, zero bool, err error) {
+	zero = true
+	for {
+		b, err := s.r.Peek(scanBufSize)
+		n += int64(len(b))
+		zero = zero && allZero(b)
+		//lint:ignore no-dropped-error discarding bytes Peek just returned cannot fail
+		s.r.Discard(len(b))
+		if err == io.EOF {
+			return n, zero, nil
+		}
+		if err != nil {
+			return n, zero, err
+		}
+	}
+}
+
+// scanFile scans the first limit bytes of the segment at path through
+// fsys.
+func (s *frameScanner) scanFile(fsys FS, path string, limit int64, fn func(payload []byte) error) (scanResult, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return scanResult{}, err
+	}
+	res, err := s.scan(io.LimitReader(f, limit), fn)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return res, err
 }
 
 // allZero reports whether every byte of b is zero (a zero-filled tail, as

@@ -65,19 +65,6 @@ func (OSFS) SyncDir(dir string) error {
 	return err
 }
 
-// readFile reads name in full through fsys.
-func readFile(fsys FS, name string) ([]byte, error) {
-	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return data, err
-}
-
 // WriteFileAtomic writes a file so a crash at any point leaves either the
 // old content or the new content, never a mix: the payload goes to a
 // temporary file in the same directory, is fsynced, renamed over path,

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -191,8 +192,8 @@ func TestCompactionFoldsSegments(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("snapshot after compaction: ok=%v err=%v", ok, err)
 	}
-	body, err := io.ReadAll(rc)
-	if err != nil {
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(rc); err != nil {
 		t.Fatal(err)
 	}
 	if err := rc.Close(); err != nil {
@@ -203,8 +204,8 @@ func TestCompactionFoldsSegments(t *testing.T) {
 		want = append(want, r...)
 		want = append(want, '\n')
 	}
-	if string(body) != string(want) {
-		t.Fatalf("snapshot body %q", body)
+	if body.String() != string(want) {
+		t.Fatalf("snapshot body %q", body.String())
 	}
 	if got := replayAll(t, j2); !equalRecords(got, post) {
 		t.Fatalf("replayed %d post-compaction records, want %d", len(got), len(post))

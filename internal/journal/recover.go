@@ -3,6 +3,7 @@ package journal
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +15,7 @@ import (
 type dirState struct {
 	snapSeq  uint64 // newest snapshot's sequence, 0 if none
 	snapPath string
+	snapFile os.DirEntry // newest snapshot's directory entry
 	// segs maps every segment sequence on disk to its path.
 	segs map[uint64]string
 	// staleSnaps are superseded snapshot files (older sequence).
@@ -42,7 +44,7 @@ func listDir(fsys FS, dir string) (*dirState, error) {
 				if st.snapPath != "" {
 					st.staleSnaps = append(st.staleSnaps, st.snapPath)
 				}
-				st.snapSeq, st.snapPath = seq, filepath.Join(dir, name)
+				st.snapSeq, st.snapPath, st.snapFile = seq, filepath.Join(dir, name), e
 			} else {
 				st.staleSnaps = append(st.staleSnaps, filepath.Join(dir, name))
 			}
@@ -119,35 +121,34 @@ func (j *Journal) recover() error {
 
 	var recovered int
 	var truncated int64
+	sc := newFrameScanner()
 	for i, seq := range seqs {
 		path := st.segs[seq]
-		buf, err := readFile(j.fs, path)
+		res, err := sc.scanFile(j.fs, path, math.MaxInt64, nil)
 		if err != nil {
 			return fmt.Errorf("journal: reading segment %s: %w", path, err)
 		}
-		//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
-		validLen, frames, status, _ := scanFrames(buf, nil)
 		final := i == len(seqs)-1
 		switch {
-		case status == scanClean:
+		case res.status == scanClean:
 			// intact
-		case status == scanTorn && final:
+		case res.status == scanTorn && final:
 			// The one kind of damage a crash legitimately causes: a write
 			// cut short at the very end of the log. Cut it off so appends
 			// resume at a frame boundary.
-			if err := j.truncateSegment(path, validLen); err != nil {
+			if err := j.truncateSegment(path, res.validLen); err != nil {
 				return err
 			}
-			truncated += int64(len(buf)) - validLen
-		case status == scanTorn:
+			truncated += res.size - res.validLen
+		case res.status == scanTorn:
 			// A torn tail in a non-final segment means every record in the
 			// segments after it postdates the damage: mid-stream corruption.
-			return fmt.Errorf("%w: segment %s torn at offset %d but later segments exist", ErrCorrupt, path, validLen)
+			return fmt.Errorf("%w: segment %s torn at offset %d but later segments exist", ErrCorrupt, path, res.validLen)
 		default:
-			return fmt.Errorf("%w: segment %s has a bad frame at offset %d followed by data", ErrCorrupt, path, validLen)
+			return fmt.Errorf("%w: segment %s has a bad frame at offset %d followed by data", ErrCorrupt, path, res.validLen)
 		}
-		recovered += frames
-		j.replay = append(j.replay, segmentInfo{seq: seq, path: path, size: validLen, frames: frames})
+		recovered += res.frames
+		j.replay = append(j.replay, segmentInfo{seq: seq, path: path, size: res.validLen, frames: res.frames})
 	}
 	j.tel.recoveredRecs.Add(uint64(recovered))
 	j.tel.truncatedBytes.Add(uint64(truncated))
@@ -224,20 +225,20 @@ func (j *Journal) Snapshot() (rc io.ReadCloser, ok bool, err error) {
 }
 
 // Replay streams every record that survived recovery, oldest first, to
-// fn; a non-nil error from fn aborts the replay. Call it once after Open
-// (and after applying Snapshot), before appending: records appended after
-// Open are not replayed.
+// fn; a non-nil error from fn aborts the replay. rec is valid only during
+// the call: Replay reuses its buffer for the next record, so fn copies
+// whatever it keeps. Call Replay once after Open (and after applying
+// Snapshot), before appending: records appended after Open are not
+// replayed.
 func (j *Journal) Replay(fn func(rec []byte) error) error {
+	sc := newFrameScanner()
 	for _, seg := range j.replay {
-		buf, err := readFile(j.fs, seg.path)
+		res, err := sc.scanFile(j.fs, seg.path, seg.size, fn)
 		if err != nil {
 			return fmt.Errorf("journal: replaying %s: %w", seg.path, err)
 		}
-		if int64(len(buf)) > seg.size {
-			buf = buf[:seg.size]
-		}
-		if _, _, _, err := scanFrames(buf, fn); err != nil {
-			return err
+		if res.status != scanClean || res.frames != seg.frames {
+			return fmt.Errorf("%w: segment %s changed since Open: %d of %d frames intact", ErrCorrupt, seg.path, res.frames, seg.frames)
 		}
 	}
 	return nil

@@ -2,10 +2,12 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -309,6 +311,13 @@ func TestVerifyReportsSnapshotAndStaleSegments(t *testing.T) {
 	if !rep.HasSnapshot || rep.Err != "" || rep.RecoverableFrames != 1 {
 		t.Fatalf("post-compaction report: %+v", rep)
 	}
+	snap, err := os.Stat(filepath.Join(dir, rep.SnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SnapshotBytes != snap.Size() || rep.SnapshotBytes == 0 {
+		t.Fatalf("snapshot reported as %d bytes, file holds %d", rep.SnapshotBytes, snap.Size())
+	}
 	var out bytes.Buffer
 	if err := rep.Write(&out); err != nil {
 		t.Fatal(err)
@@ -324,6 +333,17 @@ func TestScanFramesClassification(t *testing.T) {
 	for _, p := range payloads {
 		stream = appendFrame(stream, p)
 	}
+	// A frame whose payload outgrows the scanner's read buffer, and a run
+	// of small frames long enough that a tail cut lands across a buffer
+	// boundary.
+	big := bytes.Repeat([]byte("0123456789abcdef"), 3*scanBufSize/16+5)
+	var run []byte
+	runFrames := 0
+	for len(run) < scanBufSize+4*frameHeaderSize {
+		run = appendFrame(run, []byte(fmt.Sprintf("small-%05d", runFrames)))
+		runFrames++
+	}
+	runFrameLen := len(run) / runFrames
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -347,15 +367,44 @@ func TestScanFramesClassification(t *testing.T) {
 		{"garbage after zero header", func(b []byte) []byte {
 			return append(b, 0, 0, 0, 0, 0, 0, 0, 0, 'x')
 		}, scanCorrupt, 3},
+		{"payload larger than the read buffer", func(b []byte) []byte {
+			return appendFrame(appendFrame(b, big), []byte("after"))
+		}, scanClean, 5},
+		{"torn payload larger than the read buffer", func(b []byte) []byte {
+			return appendFrame(b, big)[:len(b)+frameHeaderSize+scanBufSize+7]
+		}, scanTorn, 3},
+		{"bad crc larger than the read buffer, zero tail", func(b []byte) []byte {
+			c := appendFrame(b, big)
+			c[len(c)-1] ^= 0xff
+			return append(c, make([]byte, scanBufSize)...)
+		}, scanTorn, 3},
+		{"torn tail across a buffer boundary", func(b []byte) []byte {
+			// Cut mid-header of the frame that spans byte scanBufSize.
+			cut := len(b) + (scanBufSize/runFrameLen)*runFrameLen + 3
+			return append(b, run...)[:cut]
+		}, scanTorn, 3 + scanBufSize/runFrameLen},
+		{"zero-fill across a buffer boundary", func(b []byte) []byte {
+			return append(b, make([]byte, 2*scanBufSize)...)
+		}, scanTorn, 3},
+		{"garbage after zero-fill across a buffer boundary", func(b []byte) []byte {
+			return append(append(b, make([]byte, scanBufSize+1)...), 'x')
+		}, scanCorrupt, 3},
+		{"oversized length past the end", func(b []byte) []byte {
+			return append(binary.LittleEndian.AppendUint32(b, MaxRecordSize+1), 1, 2, 3, 4, 'x')
+		}, scanTorn, 3},
 	}
+	sc := newFrameScanner()
 	for _, tc := range cases {
 		buf := tc.mutate(append([]byte(nil), stream...))
-		_, frames, status, err := scanFrames(buf, nil)
+		res, err := sc.scan(bytes.NewReader(buf), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if status != tc.status || frames != tc.frames {
-			t.Errorf("%s: status %v frames %d, want %v/%d", tc.name, status, frames, tc.status, tc.frames)
+		if res.status != tc.status || res.frames != tc.frames {
+			t.Errorf("%s: status %v frames %d, want %v/%d", tc.name, res.status, res.frames, tc.status, tc.frames)
+		}
+		if res.size != int64(len(buf)) {
+			t.Errorf("%s: size %d, want %d", tc.name, res.size, len(buf))
 		}
 	}
 }
@@ -396,5 +445,82 @@ func TestParseSeqRejectsStrays(t *testing.T) {
 	seq, ok := parseSeq(fmt.Sprintf("seg-%016x.wal", 42), "seg-", ".wal")
 	if !ok || seq != 42 {
 		t.Fatalf("parseSeq round trip: %d %v", seq, ok)
+	}
+}
+
+// TestRecoveryMemoryBounded pins what recovery allocates to the largest
+// record, not to the journal: reopening and replaying 8 MiB, then 16 MiB,
+// of records across 4 MiB segments allocates under 1 MiB each time.
+func TestRecoveryMemoryBounded(t *testing.T) {
+	dir := t.TempDir()
+	batch := make([][]byte, 256)
+	for i := range batch {
+		batch[i] = bytes.Repeat([]byte{byte(i + 1)}, 800)
+	}
+	var written, appended int
+	for _, target := range []int{8 << 20, 16 << 20} {
+		j, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; written < target; written += len(batch) * 800 {
+			if err := j.AppendMany(batch); err != nil {
+				t.Fatal(err)
+			}
+			appended += len(batch)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		j, err = Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		if err := j.Replay(func(rec []byte) error {
+			n++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != appended {
+			t.Fatalf("replayed %d records, appended %d", n, appended)
+		}
+		if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<20 {
+			t.Errorf("Open+Replay of %d MiB allocated %d bytes, want under 1 MiB", written>>20, delta)
+		} else {
+			t.Logf("Open+Replay of %d MiB allocated %d bytes", written>>20, delta)
+		}
+	}
+}
+
+// TestReplayRefusesSegmentChangedSinceOpen: Replay reads exactly the
+// prefix Open validated, and a segment cut short in between is reported,
+// not replayed as a shorter ledger.
+func TestReplayRefusesSegmentChangedSinceOpen(t *testing.T) {
+	dir := t.TempDir()
+	segs := buildDir(t, dir, records(5), DefaultSegmentBytes)
+	j, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Replay(func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay of a segment cut short after Open: %v", err)
 	}
 }

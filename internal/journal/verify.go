@@ -3,6 +3,7 @@ package journal
 import (
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sort"
 )
@@ -56,11 +57,11 @@ func Verify(dir string, fsys FS) (*Report, error) {
 		rep.HasSnapshot = true
 		rep.SnapshotSeq = st.snapSeq
 		rep.SnapshotName = filepath.Base(st.snapPath)
-		buf, err := readFile(fsys, st.snapPath)
+		info, err := st.snapFile.Info()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("journal: reading snapshot size: %w", err)
 		}
-		rep.SnapshotBytes = int64(len(buf))
+		rep.SnapshotBytes = info.Size()
 	}
 
 	var seqs []uint64
@@ -70,20 +71,19 @@ func Verify(dir string, fsys FS) (*Report, error) {
 	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 
 	var replayed []uint64
+	sc := newFrameScanner()
 	for _, seq := range seqs {
-		buf, err := readFile(fsys, st.segs[seq])
+		res, err := sc.scanFile(fsys, st.segs[seq], math.MaxInt64, nil)
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
-		validLen, frames, status, _ := scanFrames(buf, nil)
 		sr := SegmentReport{
 			Seq:        seq,
 			Name:       filepath.Base(st.segs[seq]),
-			Bytes:      int64(len(buf)),
-			Frames:     frames,
-			ValidBytes: validLen,
-			Status:     status.String(),
+			Bytes:      res.size,
+			Frames:     res.frames,
+			ValidBytes: res.validLen,
+			Status:     res.status.String(),
 		}
 		if seq < st.snapSeq {
 			sr.Status = "stale"

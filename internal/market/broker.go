@@ -148,9 +148,32 @@ func (b *Broker) SetJournal(j SaleJournal) {
 // running aggregates — without drawing noise, charging, or re-journaling:
 // it is the restart-time inverse of finalize, fed from the journal.
 // Per-offering sale counters are not re-incremented — telemetry counts
-// this process's sales, the ledger counts all of them.
+// this process's sales, the ledger counts all of them. Offering and Loss
+// are interned against the menu, so a replayed sale of a listed offering
+// shares the offering's own name strings instead of keeping copies.
 func (b *Broker) ReplaySale(p Purchase) {
+	p.Offering, p.Loss = internNames(b.menu.Load(), p.Offering, p.Loss)
 	b.shard(p.Offering).record(p)
+}
+
+// internNames returns the menu's own strings for a listed offering's name
+// and, when it is one of that offering's losses, the loss name; a name
+// not on the menu (or a nil menu) is converted as it is. Given record
+// bytes, it allocates nothing for a listed offering.
+func internNames[T string | []byte](m *menuSnapshot, offering, loss T) (string, string) {
+	var o *Offering
+	if m != nil {
+		o = m.offerings[string(offering)]
+	}
+	if o == nil {
+		return string(offering), string(loss)
+	}
+	for _, l := range o.lossOrder {
+		if l == string(loss) {
+			return o.Name, l
+		}
+	}
+	return o.Name, string(loss)
 }
 
 // brokerTelemetry bundles the broker's metric handles so the hot path

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"nimbus/internal/journal"
 	"nimbus/internal/pricing"
@@ -231,6 +232,60 @@ func TestSaleRecordAllocs(t *testing.T) {
 	}
 }
 
+// TestReplayInternsNames checks that a recovered sale of a listed
+// offering shares the menu's name strings: decoding its record allocates
+// only the weights, and ReplaySale interns names decoded elsewhere. A
+// sale of an unlisted offering keeps its own names.
+func TestReplayInternsNames(t *testing.T) {
+	b := NewBroker(91)
+	o := listRegression(t, b)
+	p, err := b.BuyAtQuality(o.Name, "squared", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mustMarshalSale(t, *p)
+	menu := b.menu.Load()
+	if n := testing.AllocsPerRun(100, func() { saleSink, _ = unmarshalSale(rec, menu) }); n != 1 {
+		t.Errorf("decoding a listed offering's sale: %v allocs, want 1 (the weights)", n)
+	}
+
+	fresh := NewBroker(91)
+	listed := listRegression(t, fresh)
+	decoded, err := UnmarshalSale(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.ReplaySale(decoded)
+	stray := samplePurchase(3)
+	stray.Offering, stray.Loss = "Elsewhere/model", "hinge"
+	fresh.ReplaySale(stray)
+
+	sales := fresh.Sales()
+	if len(sales) != 2 {
+		t.Fatalf("ledger holds %d sales, want 2", len(sales))
+	}
+	for _, got := range sales {
+		if got.Offering != listed.Name {
+			if got.Offering != stray.Offering || got.Loss != stray.Loss {
+				t.Errorf("unlisted sale replayed as %q/%q", got.Offering, got.Loss)
+			}
+			continue
+		}
+		if unsafe.StringData(got.Offering) != unsafe.StringData(listed.Name) {
+			t.Error("replayed sale keeps its own copy of the offering name")
+		}
+		var menuLoss string
+		for _, l := range listed.lossOrder {
+			if l == got.Loss {
+				menuLoss = l
+			}
+		}
+		if menuLoss == "" || unsafe.StringData(got.Loss) != unsafe.StringData(menuLoss) {
+			t.Errorf("replayed sale's loss %q is not the menu's string", got.Loss)
+		}
+	}
+}
+
 var (
 	recSink  []byte
 	saleSink Purchase
@@ -259,6 +314,56 @@ func BenchmarkUnmarshalSale(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkJournalReplay times a restart's ledger recovery: reopen a
+// journal of 10 000 v2 sale records at d=90 and replay it into a fresh
+// broker that lists the records' offering.
+func BenchmarkJournalReplay(b *testing.B) {
+	const sales = 10000
+	name := listRegression(b, NewBroker(91)).Name
+	dir := b.TempDir()
+	j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([][]byte, 100)
+	for i := 0; i < sales; i += len(batch) {
+		for k := range batch {
+			p := samplePurchase(90)
+			p.Offering, p.X = name, float64(i+k+1)
+			batch[k] = mustMarshalSale(b, p)
+		}
+		if err := j.AppendMany(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bk := NewBroker(91)
+		listRegression(b, bk)
+		b.StartTimer()
+		j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNever})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := RecoverFromJournal(bk, j)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if n != sales {
+			b.Fatalf("replayed %d sales, want %d", n, sales)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sales), "ns/sale")
 }
 
 // recordingJournal captures appends; fail makes every append refuse.

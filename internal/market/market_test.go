@@ -23,7 +23,7 @@ func testResearch() Research {
 	}
 }
 
-func regSeller(t *testing.T) *Seller {
+func regSeller(t testing.TB) *Seller {
 	t.Helper()
 	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 300, Seed: 41})
 	if err != nil {
@@ -54,7 +54,7 @@ func clsSeller(t *testing.T) *Seller {
 	return s
 }
 
-func listRegression(t *testing.T, b *Broker) *Offering {
+func listRegression(t testing.TB, b *Broker) *Offering {
 	t.Helper()
 	o, err := b.List(OfferingConfig{
 		Seller:  regSeller(t),

@@ -157,12 +157,18 @@ func MarshalSale(p Purchase) ([]byte, error) {
 // RestoreLedger: replaying a record we do not fully understand could
 // misstate the books.
 func UnmarshalSale(rec []byte) (Purchase, error) {
+	return unmarshalSale(rec, nil)
+}
+
+// unmarshalSale is UnmarshalSale with a v2 record's names interned
+// against menu (see internNames), which may be nil.
+func unmarshalSale(rec []byte, menu *menuSnapshot) (Purchase, error) {
 	if len(rec) == 0 {
 		return Purchase{}, errors.New("market: decoding sale record: empty record")
 	}
 	switch rec[0] {
 	case saleRecordV2:
-		return unmarshalSaleV2(rec[1:])
+		return unmarshalSaleV2(rec[1:], menu)
 	case saleRecordV1:
 		return unmarshalSaleV1(rec)
 	}
@@ -171,11 +177,12 @@ func UnmarshalSale(rec []byte) (Purchase, error) {
 
 // unmarshalSaleV2 decodes a v2 record body (the bytes after the format
 // byte).
-func unmarshalSaleV2(buf []byte) (Purchase, error) {
+func unmarshalSaleV2(buf []byte, menu *menuSnapshot) (Purchase, error) {
 	d := saleDecoder{buf: buf}
 	var p Purchase
-	p.Offering = d.string("offering length")
-	p.Loss = d.string("loss length")
+	offering := d.bytes("offering length")
+	loss := d.bytes("loss length")
+	p.Offering, p.Loss = internNames(menu, offering, loss)
 	var fs [6]float64
 	for i := range fs {
 		fs[i] = d.float(saleFloatNames[i])
@@ -238,19 +245,20 @@ func (d *saleDecoder) uvarint(what string) uint64 {
 	return v
 }
 
-// string reads a uvarint length, named what, and that many bytes.
-func (d *saleDecoder) string(what string) string {
+// bytes reads a uvarint length, named what, and returns that many bytes
+// of the record.
+func (d *saleDecoder) bytes(what string) []byte {
 	n := d.uvarint(what)
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.buf)) {
 		d.fail("%s %d overruns the record", what, n)
-		return ""
+		return nil
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s
+	return b
 }
 
 // float reads one finite little-endian float64.
@@ -305,8 +313,9 @@ func RecoverFromJournal(b *Broker, j *journal.Journal) (replayed int, err error)
 			return 0, fmt.Errorf("restoring journal snapshot: %w", err)
 		}
 	}
+	menu := b.menu.Load()
 	if err := j.Replay(func(rec []byte) error {
-		p, err := UnmarshalSale(rec)
+		p, err := unmarshalSale(rec, menu)
 		if err != nil {
 			return err
 		}
